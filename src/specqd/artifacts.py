@@ -5,7 +5,7 @@ Tensor section layout (little-endian throughout):
     magic  b"SQDT"
     u16    version (currently 1)
     u8     dtype tag: 0 = f32, 1 = mxfp4
-    u8     layout tag: 0 = plain, 1 = k-blocked
+    u8     layout tag: 0 for f32, 1 (k-blocked, the only layout) for mxfp4
     u64    rows, u64 cols (logical, pre-padding)
     payload:
       f32   rows * cols float32 values, row-major
@@ -35,7 +35,7 @@ VERSION = 1
 
 _DTYPE_F32 = 0
 _DTYPE_MXFP4 = 1
-_LAYOUTS = ("plain", "k-blocked")
+_LAYOUT_K_BLOCKED = 1
 
 
 class ArtifactError(Exception):
@@ -85,7 +85,7 @@ def unpack_nibbles(data: bytes, count: int) -> np.ndarray:
 
 def save_tensor(stream, tensor):
     if isinstance(tensor, MxfpTensor):
-        dtype, layout = _DTYPE_MXFP4, _LAYOUTS.index(tensor.layout)
+        dtype, layout = _DTYPE_MXFP4, _LAYOUT_K_BLOCKED
         rows, cols = tensor.rows, tensor.cols
         payload = pack_nibbles(tensor.codes) + tensor.scale_exp.tobytes()
     else:
@@ -113,6 +113,8 @@ def load_tensor(stream):
         payload = _read_exact(stream, rows * cols * 4)
         return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
     if dtype == _DTYPE_MXFP4:
+        if layout != _LAYOUT_K_BLOCKED:
+            raise ShapeMismatch(f"unknown mxfp4 layout tag {layout}")
         padded = -(-cols // BLOCK_SIZE) * BLOCK_SIZE
         codes = unpack_nibbles(
             _read_exact(stream, rows * padded // 2), rows * padded
@@ -120,7 +122,7 @@ def load_tensor(stream):
         scales = np.frombuffer(
             _read_exact(stream, rows * padded // BLOCK_SIZE), dtype=np.uint8
         ).reshape(rows, padded // BLOCK_SIZE).copy()
-        return MxfpTensor(rows, cols, codes, scales, layout=_LAYOUTS[layout])
+        return MxfpTensor(rows, cols, codes, scales)
     raise ShapeMismatch(f"unknown dtype tag {dtype}")
 
 

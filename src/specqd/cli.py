@@ -81,19 +81,12 @@ def cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     report = specdec.run_benchmark(tree, prompts, args.max_new, eos=args.eos)
-    all_rounds = []
-    for prompt in prompts:
-        res = specdec.speculative_generate(tree, prompt, args.max_new, eos=args.eos)
-        all_rounds += res.rounds
-        if args.check_lossless:
-            ref = specdec.greedy_generate(tree.target, prompt, args.max_new,
-                                          eos=args.eos)
-            if res.tokens != ref.tokens:
-                raise CliError("losslessness check failed")
+    for res in report.results:
         print(" ".join(str(t) for t in res.tokens))
 
     _write(out_dir / "summary.json", report.summary_json() + "\n")
-    _write(out_dir / "rounds.csv", specdec.rounds_csv(all_rounds))
+    _write(out_dir / "rounds.csv", specdec.rounds_csv(
+        [r for res in report.results for r in res.rounds]))
     _write(out_dir / "acceptance.csv", specdec.acceptance_csv(report.alpha_rows))
     print(f"geomean speedup {report.geomean_speedup:.3f}x "
           f"alpha={report.per_level_alpha}", file=sys.stderr)
@@ -179,11 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--byte-tokens", action="store_true",
                    help="treat prompt lines as raw text (byte tokenizer)")
     p.add_argument("--eos", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--gemm-path", choices=("int8", "latescale_f32"),
                    default=None)
-    p.add_argument("--check-lossless", action="store_true")
     p.add_argument("--slowdown-per-mb", type=float, default=0.0,
                    help="per-forward sleep in seconds per MB of linear "
                         "weights, emulating a bandwidth-bound host")
@@ -226,7 +217,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, artifacts.ArtifactError, ValueError, OSError) as exc:
+    except (CliError, artifacts.ArtifactError, specdec.LosslessnessError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

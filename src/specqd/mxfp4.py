@@ -11,7 +11,7 @@ each scaled element to the nearest representable E2M1 value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,6 @@ BLOCK_SIZE = 32
 E2M1_MAGNITUDES = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
 
 E2M1_MAX = 6.0
-# Largest power of two representable in E2M1 (code 0b0110).
-E2M1_MAX_POW2 = 4.0
 
 # Bits per element including the amortized shared scale: 4 + 8/32.
 BITS_PER_ELEMENT = 4.25
@@ -112,16 +110,11 @@ class MxfpTensor:
     cols: int
     codes: np.ndarray  # uint8, shape (rows, padded_cols)
     scale_exp: np.ndarray  # uint8, shape (rows, padded_cols // 32)
-    layout: str = "k-blocked"
     clamped_blocks: int = 0
 
     @property
     def padded_cols(self) -> int:
         return self.codes.shape[1]
-
-    @property
-    def n_blocks(self) -> int:
-        return self.scale_exp.size
 
     def storage_bytes(self) -> int:
         """Packed size: two codes per byte plus one scale byte per block."""
@@ -133,7 +126,6 @@ class MxfpTensor:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.layout == other.layout
             and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.scale_exp, other.scale_exp)
         )
@@ -188,12 +180,3 @@ def decoded_weights(t: MxfpTensor):
     """
     return fp4_decode(t.codes).astype(np.float64), scale_values(t.scale_exp)
 
-
-def bf16_truncate(x: np.ndarray) -> np.ndarray:
-    """Round float32 data to the nearest bfloat16 value (returned as float)."""
-    bits = np.asarray(x, dtype=np.float32).view(np.uint32)
-    rounded = bits + 0x7FFF + ((bits >> 16) & 1)
-    out = (rounded & 0xFFFF0000).view(np.float32)
-    # NaN/Inf pass through untouched; direct-cast rejects them later anyway.
-    special = ~np.isfinite(np.asarray(x, dtype=np.float32))
-    return np.where(special, np.asarray(x, dtype=np.float32), out)

@@ -1,19 +1,21 @@
 """Draft/verify speculative decoding, recursively composable into a
 multi-level hierarchy.
 
-Level 0 is the target; level i+1 drafts for level i. Each level keeps its
-own KV cache. Verification is greedy: the longest proposed prefix matching
-the verifier's own argmax is accepted and the verifier's argmax at the first
-mismatch (or after a fully accepted prefix) is emitted as the bonus token.
-Because every model breaks argmax ties to the lowest token id, the emitted
-stream is token-identical to plain greedy decoding of the target.
+Level 0 is the target; level i+1 drafts for level i. Each level is a
+session with its own KV cache, and every level with a draft runs the same
+round: its child proposes, its own model verifies. Verification is greedy:
+the longest proposed prefix matching the verifier's own argmax is accepted
+and the verifier's argmax at the first mismatch (or after a fully accepted
+prefix) is emitted as the bonus token. Because every model breaks argmax
+ties to the lowest token id, the target's stream is token-identical to
+plain greedy decoding of the target, up to and at its context limit.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,7 +75,6 @@ class RoundRecord:
     level: int
     proposed: int
     accepted: int
-    bonus: bool
     draft_s: float
     verify_s: float
 
@@ -145,80 +146,71 @@ class _Session:
         return logits
 
     def propose(self, context: list[int], n_max: int, stats: AcceptanceStats,
-                rounds: list[RoundRecord]) -> list[int]:
+                rounds: list[RoundRecord], eos: int | None = None) -> list[int]:
         """Up to ``n_max`` tokens continuing ``context``, from this level's model.
 
         Greedy with confidence-threshold early stop at a leaf; the level's own
         draft/verify loop over its child otherwise. Either way the proposal is
-        a prefix of this model's greedy continuation of ``context``.
+        a prefix of this model's greedy continuation of ``context``. It stops
+        after ``eos`` (only the target passes one) and at the context limit:
+        the last token it can give is the one after a full context.
         """
+        n_max = min(n_max, self.spec.model.config.max_seq_len - len(context) + 1)
+        if n_max <= 0:
+            return []
         self._sync(context[:-1])
         if self.child is None:
-            return self._propose_greedy(context, n_max, stats)
-        return self._propose_speculative(context, n_max, stats, rounds)
+            return self._propose_greedy(context, n_max, stats, eos)
+        out: list[int] = []
+        while len(out) < n_max:
+            new, stop = self._verify_round(context + out, stats, rounds)
+            out += new
+            if stop or eos in new:
+                break
+        return out[:n_max]
 
-    def _propose_greedy(self, context, n_max, stats):
+    def _propose_greedy(self, context, n_max, stats, eos):
         out: list[int] = []
         pending = [context[-1]]
         for _ in range(n_max):
-            try:
-                logits = self._timed_forward(pending, stats)
-            except ContextOverflow:
-                break
-            row = logits[-1]
+            row = self._timed_forward(pending, stats)[-1]
             token = greedy_next(row)
             out.append(token)
             pending = [token]
-            if softmax_probs(row)[token] < self.spec.threshold:
+            if token == eos or softmax_probs(row)[token] < self.spec.threshold:
                 break
         return out
 
-    def _propose_speculative(self, context, n_max, stats, rounds):
-        out: list[int] = []
-        while len(out) < n_max:
-            ctx = context + out
-            proposed = self.child.propose(
-                ctx, self.child.spec.spec_len, stats, rounds
-            )
-            new, stop = self._verify_round(ctx, proposed, stats, rounds)
-            out += new
-            if stop or not new:
-                break
-        if len(out) > n_max:
-            out = out[:n_max]
-        return out
-
-    def _verify_round(self, context, proposed, stats, rounds):
-        """Verify child proposals with this level's model.
+    def _verify_round(self, context, stats, rounds):
+        """The child drafts after ``context``; this level's model verifies.
 
         Returns (tokens to emit at this level, early-stop flag). The flag is
-        set when a token's confidence falls below this level's threshold or
-        the child proposed nothing (then one greedy token is still emitted).
+        set when a token's confidence falls below this level's threshold.
+        At least the bonus token is always emitted.
         """
         t0 = time.perf_counter()
-        feed = [context[-1]] + proposed
-        try:
-            logits = self._timed_forward(feed, stats)
-        except ContextOverflow:
-            return [], True
+        room = self.spec.model.config.max_seq_len - len(context)
+        proposed = self.child.propose(
+            context, min(self.child.spec.spec_len, room), stats, rounds
+        )
+        t1 = time.perf_counter()
+        logits = self._timed_forward([context[-1]] + proposed, stats)
         accepted = 0
         for j, tok in enumerate(proposed):
             if greedy_next(logits[j]) != tok:
                 break
             accepted += 1
-        bonus_row = logits[accepted]
-        bonus = greedy_next(bonus_row)
+        bonus = greedy_next(logits[accepted])
         # Drop cache entries of rejected proposals; bonus stays unprocessed.
-        keep = len(context) - 1 + 1 + accepted
+        keep = len(context) + accepted
         rollback(self.cache, keep)
         self.history = self.history[:keep]
-        verify_s = time.perf_counter() - t0
         if proposed:
             stats.record(self.level + 1, len(proposed), accepted)
-            rounds.append(RoundRecord(
-                level=self.level + 1, proposed=len(proposed), accepted=accepted,
-                bonus=True, draft_s=0.0, verify_s=verify_s,
-            ))
+        rounds.append(RoundRecord(
+            level=self.level, proposed=len(proposed), accepted=accepted,
+            draft_s=t1 - t0, verify_s=time.perf_counter() - t1,
+        ))
         emitted = proposed[:accepted] + [bonus]
         # Confidence stop applies to this level's own output stream.
         stop = False
@@ -231,9 +223,14 @@ class _Session:
 
 
 def build_sessions(tree: SpecTree) -> _Session:
+    """The target's session, linked to its drafts'. The target's output is
+    the answer, so it never stops on confidence (threshold 0)."""
     child = None
     for level in range(tree.depth, -1, -1):
-        child = _Session(tree.levels[level], level, child)
+        spec = tree.levels[level]
+        if level == 0:
+            spec = replace(spec, threshold=0.0)
+        child = _Session(spec, level, child)
     return child
 
 
@@ -264,7 +261,7 @@ def greedy_generate(model: TinyLmModel, prompt, max_new: int,
 
 def speculative_generate(tree: SpecTree, prompt, max_new: int,
                          eos: int | None = None) -> GenerationResult:
-    """Draft/verify loop at the top level; lossless vs greedy_generate.
+    """The target's session proposes the answer; lossless vs greedy_generate.
 
     A depth-0 tree degenerates to greedy decoding of the target.
     """
@@ -274,57 +271,11 @@ def speculative_generate(tree: SpecTree, prompt, max_new: int,
     t0 = time.perf_counter()
     stats = AcceptanceStats()
     rounds: list[RoundRecord] = []
-    target = build_sessions(tree)
-
-    if target.child is None:
-        res = greedy_generate(tree.target, prompt, max_new, eos=eos)
-        res.stats = stats
-        return res
-
-    out: list[int] = []
-    truncated = False
-    while len(out) < max_new:
-        ctx = prompt + out
-        t_draft = time.perf_counter()
-        proposed = target.child.propose(
-            ctx, target.child.spec.spec_len, stats, rounds
-        )
-        draft_s = time.perf_counter() - t_draft
-
-        t_verify = time.perf_counter()
-        target._sync(ctx[:-1])
-        feed = [ctx[-1]] + proposed
-        try:
-            logits = target._timed_forward(feed, stats)
-        except ContextOverflow:
-            truncated = True
-            break
-        accepted = 0
-        for j, tok in enumerate(proposed):
-            if greedy_next(logits[j]) != tok:
-                break
-            accepted += 1
-        bonus = greedy_next(logits[accepted])
-        keep = len(ctx) - 1 + 1 + accepted
-        rollback(target.cache, keep)
-        target.history = target.history[:keep]
-        verify_s = time.perf_counter() - t_verify
-
-        if proposed:
-            stats.record(1, len(proposed), accepted)
-        rounds.append(RoundRecord(
-            level=0, proposed=len(proposed), accepted=accepted,
-            bonus=True, draft_s=draft_s, verify_s=verify_s,
-        ))
-
-        emitted = proposed[:accepted] + [bonus]
-        if eos is not None and eos in emitted:
-            emitted = emitted[: emitted.index(eos) + 1]
-            out += emitted
-            break
-        out += emitted
-    if len(out) > max_new:
-        out = out[:max_new]
+    out = build_sessions(tree).propose(prompt, max_new, stats, rounds, eos)
+    if eos in out:
+        out = out[: out.index(eos) + 1]
+    # Short of max_new without EOS means the context ran out, as in greedy.
+    truncated = len(out) < max_new and eos not in out
     return GenerationResult(out, time.perf_counter() - t0,
                             rounds=rounds, stats=stats, truncated=truncated)
 
@@ -336,8 +287,13 @@ def geomean(values) -> float:
     return float(np.exp(np.mean(np.log(v))))
 
 
+class LosslessnessError(RuntimeError):
+    """Speculative decoding emitted other tokens than greedy decoding."""
+
+
 @dataclass
 class BenchmarkReport:
+    results: list[GenerationResult]  # each prompt's speculative decode
     per_prompt_speedups: list[float]
     geomean_speedup: float
     alpha_rows: list[tuple[int, int, float]]  # (prompt index, level, alpha)
@@ -365,6 +321,7 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
     prompts = [list(p) for p in prompts]
     if not prompts:
         raise ValueError("prompt set must be non-empty")
+    results = []
     speedups = []
     alpha_rows = []
     agg = AcceptanceStats()
@@ -374,7 +331,8 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
         base = greedy_generate(tree.target, prompt, max_new, eos=eos)
         spec = speculative_generate(tree, prompt, max_new, eos=eos)
         if spec.tokens != base.tokens:
-            raise AssertionError(f"losslessness violated on prompt {pi}")
+            raise LosslessnessError(f"losslessness violated on prompt {pi}")
+        results.append(spec)
         speedups.append(base.seconds / spec.seconds)
         greedy_total += base.seconds
         spec_total += spec.seconds
@@ -385,6 +343,7 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
             agg.accepted[level] = agg.accepted.get(level, 0) + spec.stats.accepted[level]
     per_level = {lv: agg.alpha(lv) for lv in agg.levels()}
     return BenchmarkReport(
+        results=results,
         per_prompt_speedups=speedups,
         geomean_speedup=geomean(speedups) if tree.depth else 1.0,
         alpha_rows=alpha_rows,

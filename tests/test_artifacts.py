@@ -81,6 +81,16 @@ class TestTensorRoundtrip:
         with pytest.raises(TruncatedPayload):
             load_tensor(io.BytesIO(buf.getvalue()[:-3]))
 
+    @pytest.mark.parametrize("tag", [0, 7])
+    def test_mxfp4_rejects_other_layouts(self, tag):
+        buf = io.BytesIO()
+        save_tensor(buf, quantize_direct_cast(np.ones((2, BLOCK_SIZE))))
+        data = bytearray(buf.getvalue())
+        assert data[7] == 1  # the k-blocked layout, the only one written
+        data[7] = tag
+        with pytest.raises(ShapeMismatch):
+            load_tensor(io.BytesIO(bytes(data)))
+
 
 class TestModelRoundtrip:
     def test_float_model_bit_exact(self, tmp_path):

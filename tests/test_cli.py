@@ -4,7 +4,7 @@ import pytest
 
 from specqd.cli import main
 from specqd.tinylm import model_checksum
-from specqd import artifacts
+from specqd import artifacts, specdec
 
 
 @pytest.fixture()
@@ -77,7 +77,7 @@ class TestGenerate:
             "--spec-len", "4", "--spec-len", "4",
             "--threshold", "0.0", "--threshold", "0.0",
             "--prompts", str(prompts), "--max-new", "12",
-            "--check-lossless", "--out", str(out_dir),
+            "--out", str(out_dir),
         ])
         assert rc == 0
         summary = json.loads((out_dir / "summary.json").read_text())
@@ -98,10 +98,24 @@ class TestGenerate:
         rc2 = main(["generate", "--target", str(target), "--draft", str(draft),
                     "--threshold", "0.4", "--threshold", "0.4",
                     "--prompts", str(prompts), "--max-new", "10",
-                    "--check-lossless", "--out", str(tmp_path / "s")])
+                    "--out", str(tmp_path / "s")])
         spec_out = capsys.readouterr().out.strip().splitlines()
         assert rc1 == rc2 == 0
         assert greedy_out[-3:] == spec_out[-3:]
+
+    def test_lossless_mismatch_is_an_error(self, models, tmp_path, capsys,
+                                           monkeypatch):
+        target, draft, prompts = models
+
+        def wrong(*args, **kwargs):
+            return specdec.GenerationResult(tokens=[0], seconds=1.0)
+
+        monkeypatch.setattr(specdec, "speculative_generate", wrong)
+        rc = main(["generate", "--target", str(target), "--draft", str(draft),
+                   "--prompts", str(prompts), "--max-new", "4",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "error: losslessness violated" in capsys.readouterr().err
 
     def test_empty_prompts_error(self, models, tmp_path, capsys):
         target, _, _ = models

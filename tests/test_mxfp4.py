@@ -8,7 +8,6 @@ from specqd.mxfp4 import (
     BLOCK_SIZE,
     CodecError,
     MxfpTensor,
-    bf16_truncate,
     block_scale_exponents,
     dequantize,
     fp4_decode,
@@ -209,12 +208,3 @@ class TestLut:
     def test_negative_zero_code(self):
         assert fp4_to_int8_lut()[0b1000] == 0
 
-
-def test_bf16_truncate():
-    x = np.array([1.0, 1.0 + 2**-10, -3.140625], dtype=np.float32)
-    t = bf16_truncate(x)
-    assert t[0] == 1.0
-    assert t[1] in (1.0, 1.0078125)  # nearest bf16 neighbours of the input
-    # bf16 values have at most 8 191 distinct mantissa patterns per exponent
-    bits = t.view(np.uint32) if t.dtype == np.float32 else t.astype(np.float32).view(np.uint32)
-    assert np.all(bits & 0xFFFF == 0)

@@ -133,6 +133,37 @@ class TestLossless:
         assert speculative_generate(tree, [11], 16).tokens == base
 
 
+# Every level's context ends at or before the target's, one level's far
+# before, so the sweep below reaches each level's limit.
+LIMIT = LmConfig(vocab_size=64, d_model=32, n_layers=1, n_heads=2, d_ff=64,
+                 max_seq_len=24)
+LIMIT_SMALL = LmConfig(vocab_size=64, d_model=16, n_layers=1, n_heads=2,
+                       d_ff=32, max_seq_len=24)
+LIMIT_SHORT = LmConfig(vocab_size=64, d_model=16, n_layers=1, n_heads=2,
+                       d_ff=32, max_seq_len=8)
+
+
+class TestContextLimit:
+    @pytest.mark.parametrize("shape", ["mx", "short", "mx-short",
+                                       "mx-small-short"])
+    @pytest.mark.parametrize("spec_len", [1, 2, 4, 8])
+    def test_sweep_matches_greedy(self, shape, spec_len):
+        target = init_seeded(LIMIT, 0)
+        drafts = {"mx": direct_cast_mxfp4(target),
+                  "small": init_seeded(LIMIT_SMALL, 1),
+                  "short": init_seeded(LIMIT_SHORT, 2)}
+        tree = SpecTree([LevelSpec(target)] + [
+            LevelSpec(drafts[name], spec_len=spec_len, threshold=0.0)
+            for name in shape.split("-")
+        ])
+        max_len = LIMIT.max_seq_len
+        for n in range(1, max_len + 3):
+            prompt = [(7 * i + 3) % 64 for i in range(n)]
+            base = greedy_generate(target, prompt, max_len)
+            spec = speculative_generate(tree, prompt, max_len)
+            assert (spec.tokens, spec.truncated) == (base.tokens, base.truncated), n
+
+
 class TestStatsAndRounds:
     def test_round_accounting(self, target, mx_draft):
         tree = two_level(target, mx_draft, n=4)
@@ -199,7 +230,7 @@ class TestGeomean:
 
 class TestCsv:
     def test_rounds_csv(self):
-        rows = [RoundRecord(0, 4, 2, True, 0.001, 0.002)]
+        rows = [RoundRecord(0, 4, 2, 0.001, 0.002)]
         text = rounds_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == ROUNDS_CSV_HEADER == "level,proposed,accepted,draft_ms,verify_ms"
