@@ -88,8 +88,10 @@ def cmd_generate(args) -> int:
     _write(out_dir / "rounds.csv", specdec.rounds_csv(
         [r for res in report.results for r in res.rounds]))
     _write(out_dir / "acceptance.csv", specdec.acceptance_csv(report.alpha_rows))
-    print(f"geomean speedup {report.geomean_speedup:.3f}x "
-          f"alpha={report.per_level_alpha}", file=sys.stderr)
+    speedup = report.geomean_speedup
+    shown = "n/a" if speedup is None else f"{speedup:.3f}x"
+    print(f"geomean speedup {shown} alpha={report.per_level_alpha}",
+          file=sys.stderr)
     return 0
 
 

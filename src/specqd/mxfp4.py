@@ -12,6 +12,7 @@ each scaled element to the nearest representable E2M1 value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,6 +120,20 @@ class MxfpTensor:
     def storage_bytes(self) -> int:
         """Packed size: two codes per byte plus one scale byte per block."""
         return self.codes.size // 2 + self.scale_exp.size
+
+    @cached_property
+    def int_operand(self):
+        """(doubled E2M1 values, block scale values) for the int8 GEMM.
+
+        The values are the ``fp4_to_int8_lut`` entries as float32 in
+        (block, row, 32) layout, so one batched matmul yields every block's
+        partial; the scales have shape (rows, blocks). Built on first use and
+        kept, so casting or loading a model does not pay for it.
+        """
+        lut = fp4_to_int8_lut().astype(np.float32)
+        values = lut[self.codes].reshape(self.rows, -1, BLOCK_SIZE)
+        return (np.ascontiguousarray(values.transpose(1, 0, 2)),
+                scale_values(self.scale_exp))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MxfpTensor):

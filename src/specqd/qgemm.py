@@ -8,13 +8,22 @@ Three paths sharing one arithmetic contract:
                            each 32-element block, then applies the block
                            scale once to the partial accumulator.
 * ``gemm_mxfp4_int8``    — integer fast path: weights via the x2 FP4->int8
-                           lookup table against int8 activations, one int32
-                           partial per block, scaled by
+                           lookup table against int8 activations, one
+                           integer partial per block, scaled by
                            weight_scale * activation_scale * 2^-1.
 
-All kernels reduce sequentially over K per output element, so results are
-independent of N-batching and of the worker thread count (parallelism is
-only across disjoint output row ranges).
+The int8 path is weights-stationary. Each MxfpTensor packs its LUT values
+as float32 in (block, row, 32) layout once, on first use
+(``MxfpTensor.int_operand``), and one batched BLAS matmul per call gives
+the partials of every block, row and column. That is exact: a partial is
+an integer of magnitude at most INT_PARTIAL_BOUND = 48,768 < 2^24, and so
+is every partial sum of its terms, so float32 represents each step and any
+summation order BLAS picks gives the same bits. Only the cross-block sum
+of scaled partials is rounded, and ``fold_sum`` does it in a fixed order.
+
+The float paths reduce in a fixed order over K per output element too, so
+results are independent of N-batching and of the worker thread count
+(parallelism is only across disjoint output row ranges).
 """
 
 from __future__ import annotations
@@ -38,6 +47,10 @@ from .mxfp4 import (
 # max |LUT entry| * max |int8| * block size = 12 * 127 * 32
 INT_PARTIAL_BOUND = 48_768
 
+# Output columns per block reduction in the int8 kernel; bounds its
+# (blocks, rows, columns) temporaries for long prefills.
+COL_CHUNK = 16
+
 GEMM_PATHS = ("reference", "latescale_f32", "int8")
 
 
@@ -49,17 +62,20 @@ def fold_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     A fixed halving tree built from elementwise adds is bit-deterministic,
     which the batch-equals-incremental and thread-invariance contracts need.
     """
-    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, -1)
-    if x.shape[-1] == 0:
-        return np.zeros(x.shape[:-1])
-    while x.shape[-1] > 1:
-        n = x.shape[-1]
+    x = np.asarray(x, dtype=np.float64)
+    if not -x.ndim <= axis < x.ndim:
+        raise ValueError(f"axis {axis} out of range for {x.ndim}-D input")
+    axis %= x.ndim
+    lead = (slice(None),) * axis  # index along ``axis`` in place
+    if x.shape[axis] == 0:
+        return np.zeros(x.shape[:axis] + x.shape[axis + 1:])
+    while (n := x.shape[axis]) > 1:
         half = n // 2
-        y = x[..., : 2 * half : 2] + x[..., 1 : 2 * half : 2]
+        y = x[lead + (slice(0, 2 * half, 2),)] + x[lead + (slice(1, 2 * half, 2),)]
         if n % 2:
-            y = np.concatenate([y, x[..., -1:]], axis=-1)
+            y = np.concatenate([y, x[lead + (slice(n - 1, n),)]], axis=axis)
         x = y
-    return x[..., 0]
+    return x[lead + (0,)]
 
 
 class GemmShapeError(ValueError):
@@ -115,9 +131,9 @@ def _parallel_rows(kernel, m: int, n_threads: int) -> np.ndarray:
     Each row is computed by the same sequential reduction regardless of the
     chunking, so outputs are bit-identical for any thread count.
     """
-    chunks = _row_chunks(m, n_threads)
-    if len(chunks) == 1:
+    if min(m, n_threads) == 1:
         return kernel(0, m)
+    chunks = _row_chunks(m, n_threads)
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         parts = list(pool.map(lambda c: kernel(*c), chunks))
     return np.concatenate(parts, axis=0)
@@ -208,30 +224,30 @@ def gemm_mxfp4_latescale_f32(
 def gemm_mxfp4_int8(
     w: MxfpTensor, a: QuantizedActivationPanel, n_threads: int | None = None
 ) -> np.ndarray:
-    """Integer LUT path: int32 block dot products, late-scaled once per block.
+    """Integer LUT path: exact block dot products, late-scaled once per block.
 
-    Per block the int32 partial is bounded by 12 * 127 * 32 = 48768, so it
-    never overflows; the output scale folds in the LUT's x2 compensation as
+    The (block, row, column) partials come from one float32 BLAS matmul per
+    ``COL_CHUNK`` columns, exactly (see the module docstring). The output
+    scale folds in the LUT's x2 compensation as
     weight_scale * activation_scale * 0.5.
     """
     _check_weight_act(w, a.k)
     if n_threads is None:
         n_threads = default_threads()
-    lut = fp4_to_int8_lut().astype(np.int32)
-    w_int = lut[w.codes]
-    act = a.values.astype(np.int32).reshape(-1, BLOCK_SIZE, a.n)
-    w_scales = np.exp2(w.scale_exp.astype(np.float64) - 127.0)
+    w_vals, w_scales = w.int_operand
+    # Columns lead and rows trail, so the scaling broadcasts along rows.
+    act = a.values.astype(np.float32).reshape(-1, BLOCK_SIZE, a.n).transpose(0, 2, 1)
+    a_scales = (a.scales * 0.5)[:, :, None]
 
     def kernel(lo, hi):
-        wb = w_int[lo:hi].reshape(hi - lo, -1, BLOCK_SIZE)
-        sc = w_scales[lo:hi]
-        cols = []
-        for j in range(a.n):
-            # Integer partials are exact, so the reduction order is free here.
-            partial = np.einsum("mbk,bk->mb", wb, act[:, :, j], optimize=False)
-            out_scale = sc * (a.scales[None, :, j] * 0.5)
-            cols.append(fold_sum(partial * out_scale, axis=1))
-        return np.stack(cols, axis=1)
+        w_t = w_vals[:, lo:hi].transpose(0, 2, 1)
+        sc = w_scales[lo:hi].T[:, None, :]
+        out = np.empty((hi - lo, a.n))
+        for j in range(0, a.n, COL_CHUNK):
+            cols = slice(j, j + COL_CHUNK)
+            partial = np.matmul(act[:, cols], w_t)
+            out[:, cols] = fold_sum(partial * (sc * a_scales[:, cols]), axis=0).T
+        return out
 
     return _parallel_rows(kernel, w.rows, n_threads)
 

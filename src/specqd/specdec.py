@@ -125,18 +125,21 @@ class _Session:
         self.cache = KvCache.empty(spec.model.config)
         self.history: list[int] = []
 
-    def _sync(self, prefix: list[int]):
-        """Make the cache cover exactly ``prefix`` (rolling back on divergence)."""
+    def _unfed(self, context: list[int]) -> list[int]:
+        """Roll the cache back to its longest prefix shared with
+        ``context[:-1]``; return the tokens of ``context`` it still lacks.
+
+        The result always ends with ``context[-1]``, so the level's next
+        forward feeds it along with the round's own tokens.
+        """
         common = 0
-        limit = min(len(self.history), len(prefix))
-        while common < limit and self.history[common] == prefix[common]:
+        limit = min(len(self.history), len(context) - 1)
+        while common < limit and self.history[common] == context[common]:
             common += 1
         if common < len(self.history):
             rollback(self.cache, common)
             self.history = self.history[:common]
-        if common < len(prefix):
-            forward(self.spec.model, self.cache, prefix[common:])
-            self.history = list(prefix)
+        return context[common:]
 
     def _timed_forward(self, tokens, stats: AcceptanceStats):
         t0 = time.perf_counter()
@@ -158,7 +161,6 @@ class _Session:
         n_max = min(n_max, self.spec.model.config.max_seq_len - len(context) + 1)
         if n_max <= 0:
             return []
-        self._sync(context[:-1])
         if self.child is None:
             return self._propose_greedy(context, n_max, stats, eos)
         out: list[int] = []
@@ -171,7 +173,7 @@ class _Session:
 
     def _propose_greedy(self, context, n_max, stats, eos):
         out: list[int] = []
-        pending = [context[-1]]
+        pending = self._unfed(context)
         for _ in range(n_max):
             row = self._timed_forward(pending, stats)[-1]
             token = greedy_next(row)
@@ -194,7 +196,9 @@ class _Session:
             context, min(self.child.spec.spec_len, room), stats, rounds
         )
         t1 = time.perf_counter()
-        logits = self._timed_forward([context[-1]] + proposed, stats)
+        unfed = self._unfed(context)
+        # Row j of ``logits`` follows context plus proposed[:j].
+        logits = self._timed_forward(unfed + proposed, stats)[len(unfed) - 1:]
         accepted = 0
         for j, tok in enumerate(proposed):
             if greedy_next(logits[j]) != tok:
@@ -294,8 +298,8 @@ class LosslessnessError(RuntimeError):
 @dataclass
 class BenchmarkReport:
     results: list[GenerationResult]  # each prompt's speculative decode
-    per_prompt_speedups: list[float]
-    geomean_speedup: float
+    per_prompt_speedups: list[float]  # prompts that generated a token
+    geomean_speedup: float | None  # None when no prompt did
     alpha_rows: list[tuple[int, int, float]]  # (prompt index, level, alpha)
     per_level_alpha: dict[int, float]
     total_tokens: int
@@ -333,7 +337,8 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
         if spec.tokens != base.tokens:
             raise LosslessnessError(f"losslessness violated on prompt {pi}")
         results.append(spec)
-        speedups.append(base.seconds / spec.seconds)
+        if spec.tokens:
+            speedups.append(base.seconds / spec.seconds)
         greedy_total += base.seconds
         spec_total += spec.seconds
         total_tokens += len(spec.tokens)
@@ -345,7 +350,8 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
     return BenchmarkReport(
         results=results,
         per_prompt_speedups=speedups,
-        geomean_speedup=geomean(speedups) if tree.depth else 1.0,
+        geomean_speedup=(None if not speedups
+                         else geomean(speedups) if tree.depth else 1.0),
         alpha_rows=alpha_rows,
         per_level_alpha=per_level,
         total_tokens=total_tokens,

@@ -45,6 +45,10 @@ class ContextOverflow(RuntimeError):
     """Sequence would exceed max_seq_len."""
 
 
+class TokenRangeError(ValueError):
+    """A token id lies outside [0, vocab_size)."""
+
+
 @dataclass
 class LinearWeight:
     """A (out_features x in_features) weight in float or MXFP4 storage."""
@@ -69,18 +73,38 @@ class LinearWeight:
             return self
         return LinearWeight(quantize_direct_cast(self.weight))
 
-    def apply(self, x: np.ndarray, gemm_path: str) -> np.ndarray:
-        """y = x @ W.T for x of shape (n_tokens, in_features)."""
+    def _operand(self, x: np.ndarray, gemm_path: str):
+        """The GEMM's right-hand side for x of shape (n_tokens, in_features)."""
         a = np.ascontiguousarray(x.T)
         if not self.is_quantized:
-            return qgemm.gemm_reference(self.weight, a).T
+            return a
         pad = self.weight.padded_cols - a.shape[0]
         if pad:
             a = np.pad(a, ((0, pad), (0, 0)))
         if gemm_path == "latescale_f32":
+            return a
+        return qgemm.quantize_activations(a)
+
+    def apply(self, x: np.ndarray, gemm_path: str,
+              operands: dict | None = None) -> np.ndarray:
+        """y = x @ W.T for x of shape (n_tokens, in_features).
+
+        ``operands`` keeps the GEMM operand made from x per storage kind and
+        width, so linears that read the same x transpose, pad and quantize
+        it once.
+        """
+        if operands is None:
+            a = self._operand(x, gemm_path)
+        else:
+            key = (self.is_quantized, self.shape[1])
+            if key not in operands:
+                operands[key] = self._operand(x, gemm_path)
+            a = operands[key]
+        if not self.is_quantized:
+            return qgemm.gemm_reference(self.weight, a).T
+        if gemm_path == "latescale_f32":
             return qgemm.gemm_mxfp4_latescale_f32(self.weight, a).T
-        panel = qgemm.quantize_activations(a)
-        return qgemm.gemm_mxfp4_int8(self.weight, panel).T
+        return qgemm.gemm_mxfp4_int8(self.weight, a).T
 
 
 @dataclass
@@ -228,6 +252,42 @@ def _softmax_row(row):
     return e / qgemm.fold_sum(e)
 
 
+# Product elements per attention chunk of new positions; bounds the
+# (positions, heads, keys, d_head) temporaries of a long prefill to 1 MiB.
+ATTN_CHUNK = 1 << 17
+
+
+def _attention(q, keys, vals, start):
+    """Causal attention of new positions ``start + i`` over the cache.
+
+    q has shape (n, heads, d_head); keys and vals (start + n, heads, d_head).
+    A chunk of positions reduces over the keys its last position sees: a
+    key past a position scores -inf, so exp gives it an exact +0.0, and its
+    context product is set to -0.0, which leaves any float unchanged when
+    added. A fold_sum tree padded with such trailing identities gives the
+    bits of the unpadded tree, so a position's output does not depend on
+    how many positions arrive with it.
+    """
+    n, heads, d_head = q.shape
+    inv_sqrt = 1.0 / np.sqrt(d_head)
+    k_t = keys.transpose(1, 0, 2)[None]  # (1, heads, keys, d_head)
+    v_t = vals.transpose(1, 0, 2)[None]
+    ctx = np.empty_like(q)
+    step = max(1, ATTN_CHUNK // (heads * keys.shape[0] * d_head))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        kv = start + hi
+        # (positions, 1, keys): True where the key lies past the position.
+        future = (np.arange(kv) > np.arange(start + lo, kv)[:, None])[:, None]
+        scores = qgemm.fold_sum(q[lo:hi, :, None] * k_t[:, :, :kv], axis=-1)
+        scores = np.where(future, -np.inf, scores * inv_sqrt)
+        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        prod = (e / qgemm.fold_sum(e, axis=-1)[..., None])[..., None] * v_t[:, :, :kv]
+        np.copyto(prod, -0.0, where=future[..., None])
+        ctx[lo:hi] = qgemm.fold_sum(prod, axis=2)
+    return ctx
+
+
 def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
     """Process new token positions in one pass, extending the cache.
 
@@ -239,6 +299,11 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
     tokens = np.asarray(new_tokens, dtype=np.int64)
     if tokens.ndim != 1 or tokens.size == 0:
         raise ValueError("new_tokens must be a non-empty 1-D sequence")
+    bad = (tokens < 0) | (tokens >= cfg.vocab_size)
+    if bad.any():
+        raise TokenRangeError(
+            f"token id {int(tokens[bad][0])} outside [0, {cfg.vocab_size})"
+        )
     n = tokens.size
     start = cache.length
     if start + n > cfg.max_seq_len:
@@ -249,32 +314,21 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
         time.sleep(model.forward_penalty_s)
 
     d_head = cfg.d_model // cfg.n_heads
-    inv_sqrt = 1.0 / np.sqrt(d_head)
     x = model.tok_emb[tokens] + model.pos_emb[start : start + n]
 
     for li, layer in enumerate(model.layers):
         h = _layer_norm(x, layer.ln1_g, layer.ln1_b, cfg.norm_epsilon)
-        q = layer.wq.apply(h, model.gemm_path).reshape(n, cfg.n_heads, d_head)
-        k = layer.wk.apply(h, model.gemm_path).reshape(n, cfg.n_heads, d_head)
-        v = layer.wv.apply(h, model.gemm_path).reshape(n, cfg.n_heads, d_head)
+        operands = {}  # wq, wk and wv read the same h
+        q, k, v = (
+            lw.apply(h, model.gemm_path, operands).reshape(n, cfg.n_heads, d_head)
+            for lw in (layer.wq, layer.wk, layer.wv)
+        )
         keys = np.concatenate([cache.keys[li], k], axis=0)
         vals = np.concatenate([cache.values[li], v], axis=0)
         cache.keys[li] = keys
         cache.values[li] = vals
 
-        # Causal attention, one position at a time so each position's
-        # reductions are identical whether it arrives batched or alone.
-        ctx = np.empty((n, cfg.n_heads, d_head))
-        for i in range(n):
-            kv_len = start + i + 1
-            for hd in range(cfg.n_heads):
-                scores = qgemm.fold_sum(
-                    q[i, hd] * keys[:kv_len, hd], axis=1
-                ) * inv_sqrt
-                probs = _softmax_row(scores)
-                ctx[i, hd] = qgemm.fold_sum(
-                    probs[:, None] * vals[:kv_len, hd], axis=0
-                )
+        ctx = _attention(q, keys, vals, start)
         attn = layer.wo.apply(ctx.reshape(n, cfg.d_model), model.gemm_path)
         x = x + attn
 

@@ -117,6 +117,28 @@ class TestGenerate:
         assert rc == 1
         assert "error: losslessness violated" in capsys.readouterr().err
 
+    def test_byte_tokens_past_vocab_is_an_error(self, tmp_path, capsys):
+        model = tmp_path / "v64.bin"
+        assert main(["model-init", "--vocab-size", "64", "--d-model", "32",
+                     "--n-heads", "2", "--out", str(model)]) == 0
+        prompts = tmp_path / "text.txt"
+        prompts.write_text("hello\n")  # byte ids 101..111
+        rc = main(["generate", "--target", str(model), "--byte-tokens",
+                   "--prompts", str(prompts), "--max-new", "4",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "error: token id 104 outside [0, 64)" in capsys.readouterr().err
+
+    def test_no_tokens_no_speedup(self, models, tmp_path, capsys):
+        target, draft, prompts = models
+        rc = main(["generate", "--target", str(target), "--draft", str(draft),
+                   "--prompts", str(prompts), "--max-new", "0",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert "geomean speedup n/a" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["geomean_speedup"] is None
+
     def test_empty_prompts_error(self, models, tmp_path, capsys):
         target, _, _ = models
         empty = tmp_path / "empty.txt"

@@ -190,13 +190,48 @@ class TestInt8Path:
         lut = mxfp4.fp4_to_int8_lut().astype(np.int64)
         worst = int(np.sum(lut[w.codes[0]] * 127))
         assert worst == INT_PARTIAL_BOUND
-        assert worst < 2**31
+        # float32 holds every integer up to 2^24 exactly, so the kernel's
+        # BLAS partials are exact in any summation order.
+        assert INT_PARTIAL_BOUND < 2**24
 
     def test_shape_mismatch(self):
         w = quantize_direct_cast(np.ones((2, BLOCK_SIZE)))
         panel = quantize_activations(np.ones((2 * BLOCK_SIZE, 1)))
         with pytest.raises(GemmShapeError):
             gemm_mxfp4_int8(w, panel)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 17, 40])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_matches_einsum_oracle(self, n, threads):
+        # 17 and 40 columns cross the kernel's column chunks.
+        assert qgemm.COL_CHUNK < 17
+        rng = np.random.default_rng(100 + n)
+        w = quantize_direct_cast(rng.standard_normal((37, 5 * BLOCK_SIZE)))
+        a = rng.standard_normal((5 * BLOCK_SIZE, n))
+        panel = quantize_activations(a * rng.uniform(1e-3, 1e3, size=(1, n)))
+        got = gemm_mxfp4_int8(w, panel, threads)
+        assert got.tobytes() == einsum_int8_oracle(w, panel).tobytes()
+
+    def test_operand_built_on_first_use(self):
+        w = quantize_direct_cast(np.ones((4, BLOCK_SIZE)))
+        assert "int_operand" not in vars(w)
+        gemm_mxfp4_int8(w, quantize_activations(np.ones((BLOCK_SIZE, 1))))
+        values, scales = vars(w)["int_operand"]
+        assert values.dtype == np.float32 and values.shape == (1, 4, BLOCK_SIZE)
+        assert scales.shape == (4, 1)
+
+
+def einsum_int8_oracle(w: MxfpTensor, a) -> np.ndarray:
+    """The int8 kernel as a per-column integer einsum, one column at a time."""
+    w_int = mxfp4.fp4_to_int8_lut().astype(np.int32)[w.codes]
+    wb = w_int.reshape(w.rows, -1, BLOCK_SIZE)
+    act = a.values.astype(np.int32).reshape(-1, BLOCK_SIZE, a.n)
+    sc = np.exp2(w.scale_exp.astype(np.float64) - 127.0)
+    cols = []
+    for j in range(a.n):
+        partial = np.einsum("mbk,bk->mb", wb, act[:, :, j], optimize=False)
+        cols.append(fold_sum(partial * (sc * (a.scales[None, :, j] * 0.5)), axis=1))
+    return np.stack(cols, axis=1)
 
 
 class TestThreadInvariance:

@@ -1,6 +1,10 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from specqd import specdec
 from specqd.specdec import (
     DEFAULT_SPEC_LEN,
     DEFAULT_THRESHOLD,
@@ -18,7 +22,7 @@ from specqd.specdec import (
     run_benchmark,
     speculative_generate,
 )
-from specqd.tinylm import LmConfig, direct_cast_mxfp4, init_seeded
+from specqd.tinylm import LmConfig, TokenRangeError, direct_cast_mxfp4, init_seeded
 
 CFG = LmConfig(d_model=32, n_layers=2, n_heads=2, d_ff=64, max_seq_len=128)
 SMALL = LmConfig(d_model=16, n_layers=1, n_heads=2, d_ff=32, max_seq_len=128)
@@ -132,6 +136,14 @@ class TestLossless:
         base = greedy_generate(target, [11], 16).tokens
         assert speculative_generate(tree, [11], 16).tokens == base
 
+    def test_out_of_range_tokens_raise(self, target, mx_draft):
+        tree = two_level(target, mx_draft)
+        for prompt in ([-1, -5], [3, CFG.vocab_size]):
+            with pytest.raises(TokenRangeError):
+                speculative_generate(tree, prompt, 4)
+            with pytest.raises(TokenRangeError):
+                greedy_generate(target, prompt, 4)
+
 
 # Every level's context ends at or before the target's, one level's far
 # before, so the sweep below reaches each level's limit.
@@ -193,6 +205,43 @@ class TestStatsAndRounds:
         assert st.alpha(1) == 0.75 and st.rounds[1] == 2
 
 
+class TestForwardCount:
+    PROMPTS = ([1, 2, 3], [7, 40, 99, 5], [200])
+
+    # ``before``: forwards on this tree when a level synced its cache with a
+    # forward of its own before each round's forward. ``stats``: total
+    # proposed, accepted and rounds at level 1, unchanged since.
+    @pytest.mark.parametrize("threshold,before,stats", [
+        (0.0, 226, (172, 57, 43)),
+        (0.4, 159, (61, 35, 61)),
+    ])
+    def test_sync_folded_into_round_forward(self, target, mx_draft, monkeypatch,
+                                            threshold, before, stats):
+        greedy = [greedy_generate(target, p, 32).tokens for p in self.PROMPTS]
+        calls = Counter()
+        real = specdec.forward
+
+        def counting(model, cache, tokens):
+            calls[id(model)] += 1
+            return real(model, cache, tokens)
+
+        monkeypatch.setattr(specdec, "forward", counting)
+        tree = two_level(target, mx_draft, n=4, threshold=threshold)
+        proposed = accepted = rounds = 0
+        for prompt, want in zip(self.PROMPTS, greedy):
+            res = speculative_generate(tree, prompt, 32)
+            assert res.tokens == want
+            proposed += res.stats.proposed[1]
+            accepted += res.stats.accepted[1]
+            rounds += res.stats.rounds[1]
+        assert (proposed, accepted, rounds) == stats
+        # One forward per target round and per drafted token: the unfed
+        # tail of the context rides along with the round's own tokens.
+        assert calls[id(target)] == rounds
+        assert calls[id(mx_draft)] == proposed
+        assert sum(calls.values()) < before
+
+
 class TestBenchmark:
     def test_report_and_losslessness(self, target, mx_draft):
         tree = two_level(target, mx_draft, n=4)
@@ -214,6 +263,12 @@ class TestBenchmark:
     def test_empty_prompt_set(self, target, mx_draft):
         with pytest.raises(ValueError):
             run_benchmark(two_level(target, mx_draft), [], 4)
+
+    def test_no_speedup_without_tokens(self, target, mx_draft):
+        rep = run_benchmark(two_level(target, mx_draft), [[1], [2, 3]], 0)
+        assert rep.total_tokens == 0 and rep.per_prompt_speedups == []
+        assert rep.geomean_speedup is None
+        assert json.loads(rep.summary_json())["geomean_speedup"] is None
 
 
 class TestGeomean:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from specqd import qgemm, tinylm
 from specqd.mxfp4 import MxfpTensor
 from specqd.tinylm import (
     ContextOverflow,
     KvCache,
     LmConfig,
+    TokenRangeError,
+    _attention,
+    _softmax_row,
     direct_cast_mxfp4,
     forward,
     greedy_next,
@@ -120,12 +124,85 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(model, KvCache.empty(CFG), [])
 
+    @pytest.mark.parametrize("bad", [-1, -5, CFG.vocab_size, 10_000])
+    def test_out_of_range_token_rejected(self, model, bad):
+        cache = KvCache.empty(CFG)
+        with pytest.raises(TokenRangeError, match="outside"):
+            forward(model, cache, [3, bad])
+        assert issubclass(TokenRangeError, ValueError)
+        assert cache.length == 0
+
+    @pytest.mark.parametrize("mdl", ["model", "qmodel"])
+    def test_long_prefill_equals_token_by_token(self, mdl, request):
+        # 80 positions over up to 90 keys span several attention chunks.
+        m = request.getfixturevalue(mdl)
+        toks = [int(t) for t in np.random.default_rng(14).integers(0, 256, 90)]
+        c1, c2 = KvCache.empty(CFG), KvCache.empty(CFG)
+        forward(m, c1, toks[:10])
+        batch = forward(m, c1, toks[10:])
+        singles = [forward(m, c2, [t])[0] for t in toks][10:]
+        assert batch.tobytes() == np.stack(singles).tobytes()
+
+    @pytest.mark.parametrize("mdl", ["model", "qmodel"])
+    def test_one_activation_quantization_for_qkv(self, mdl, request,
+                                                  monkeypatch):
+        m = request.getfixturevalue(mdl)
+        calls = []
+        real = qgemm.quantize_activations
+        monkeypatch.setattr(qgemm, "quantize_activations",
+                            lambda a: calls.append(a.shape) or real(a))
+        forward(m, KvCache.empty(CFG), [1, 2, 3])
+        # wq/wk/wv share one panel: wo, w_up, w_down and QKV per layer,
+        # plus the LM head.
+        want = 4 * CFG.n_layers + 1 if m.is_quantized else 0
+        assert len(calls) == want
+
     def test_thread_count_invariant(self, model, monkeypatch):
         c1 = KvCache.empty(CFG)
         base = forward(model, c1, [1, 2])
         monkeypatch.setenv("SPECQD_THREADS", "4")
         c2 = KvCache.empty(CFG)
         assert np.array_equal(base, forward(model, c2, [1, 2]))
+
+
+def loop_attention(q, keys, vals, start):
+    """Causal attention one (position, head) at a time, each reduction over
+    exactly the keys the position sees."""
+    n, heads, d_head = q.shape
+    inv_sqrt = 1.0 / np.sqrt(d_head)
+    ctx = np.empty((n, heads, d_head))
+    for i in range(n):
+        kv_len = start + i + 1
+        for hd in range(heads):
+            scores = qgemm.fold_sum(q[i, hd] * keys[:kv_len, hd], axis=1) * inv_sqrt
+            probs = _softmax_row(scores)
+            ctx[i, hd] = qgemm.fold_sum(probs[:, None] * vals[:kv_len, hd], axis=0)
+    return ctx
+
+
+class TestAttention:
+    @pytest.mark.parametrize("start,n", [(0, 1), (0, 37), (5, 1), (9, 12)])
+    def test_matches_loop_oracle(self, start, n):
+        rng = np.random.default_rng(start + n)
+        heads, d_head = 4, 16
+        q = rng.standard_normal((n, heads, d_head))
+        keys = rng.standard_normal((start + n, heads, d_head))
+        vals = rng.standard_normal((start + n, heads, d_head))
+        # Negative zeros in vals must survive the masked padding.
+        vals[::7] = -0.0
+        got = _attention(q, keys, vals, start)
+        assert got.tobytes() == loop_attention(q, keys, vals, start).tobytes()
+
+    def test_chunk_boundaries(self):
+        # 200 cached + 60 new keys: 16,640 product elements per position,
+        # so the 60 positions span several chunks.
+        assert tinylm.ATTN_CHUNK // (4 * 260 * 16) < 60
+        rng = np.random.default_rng(15)
+        q = rng.standard_normal((60, 4, 16))
+        keys = rng.standard_normal((260, 4, 16))
+        vals = rng.standard_normal((260, 4, 16))
+        want = loop_attention(q, keys, vals, 200).tobytes()
+        assert _attention(q, keys, vals, 200).tobytes() == want
 
 
 class TestRollback:
