@@ -62,6 +62,10 @@ class MissingSection(ArtifactError):
     pass
 
 
+class BadConfig(ArtifactError):
+    """The model file's config block does not describe a valid LmConfig."""
+
+
 def _read_exact(stream, n: int) -> bytes:
     data = stream.read(n)
     if len(data) != n:
@@ -138,6 +142,8 @@ def load_tensor_file(path):
 
 _CONFIG_KEYS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff",
                 "max_seq_len", "norm_epsilon")
+# The paths a model's MXFP4 linears can run on.
+_MODEL_GEMM_PATHS = ("int8", "latescale_f32")
 
 
 def _model_tensor_items(model: TinyLmModel):
@@ -174,6 +180,28 @@ def save_model(path, model: TinyLmModel):
     Path(path).write_bytes(buf.getvalue())
 
 
+def _parse_config(blob: bytes) -> tuple[LmConfig, str]:
+    """The config block's LmConfig and GEMM path; ``BadConfig`` if a value
+    does not parse or has the wrong type, or the fields do not make a
+    valid LmConfig."""
+    try:
+        fields = {}
+        for line in blob.decode().splitlines():
+            key, _, value = line.partition("=")
+            fields[key] = ast.literal_eval(value)
+        gemm_path = fields.pop("gemm_path", "int8")
+        config = LmConfig(**fields)
+    except (SyntaxError, ValueError, TypeError) as exc:
+        raise BadConfig(f"bad model config block: {exc}") from exc
+    for key in _CONFIG_KEYS:
+        value = getattr(config, key)
+        if type(value) not in ((int, float) if key == "norm_epsilon" else (int,)):
+            raise BadConfig(f"bad model config block: {key}={value!r} has the wrong type")
+    if gemm_path not in _MODEL_GEMM_PATHS:
+        raise BadConfig(f"bad model config block: unknown gemm_path {gemm_path!r}")
+    return config, gemm_path
+
+
 def load_model(path) -> TinyLmModel:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4)
@@ -182,12 +210,7 @@ def load_model(path) -> TinyLmModel:
         version, cfg_len = struct.unpack("<HI", _read_exact(fh, 6))
         if version != VERSION:
             raise VersionMismatch(f"model version {version}, expected {VERSION}")
-        fields = {}
-        for line in _read_exact(fh, cfg_len).decode().splitlines():
-            key, _, value = line.partition("=")
-            fields[key] = ast.literal_eval(value)
-        gemm_path = fields.pop("gemm_path", "int8")
-        config = LmConfig(**fields)
+        config, gemm_path = _parse_config(_read_exact(fh, cfg_len))
         (n_sections,) = struct.unpack("<I", _read_exact(fh, 4))
         tensors = {}
         for _ in range(n_sections):

@@ -3,7 +3,8 @@
 Three paths sharing one arithmetic contract:
 
 * ``gemm_reference``     — plain float GEMM, the oracle everything is
-                           checked against (dequantize-then-multiply).
+                           checked against (dequantize-then-multiply),
+                           and the unquantized target's arithmetic.
 * ``gemm_mxfp4_latescale_f32`` — decodes E2M1 weights to float, accumulates
                            each 32-element block, then applies the block
                            scale once to the partial accumulator.
@@ -21,9 +22,14 @@ is every partial sum of its terms, so float32 represents each step and any
 summation order BLAS picks gives the same bits. Only the cross-block sum
 of scaled partials is rounded, and ``fold_sum`` does it in a fixed order.
 
-The float paths reduce in a fixed order over K per output element too, so
-results are independent of N-batching and of the worker thread count
-(parallelism is only across disjoint output row ranges).
+The float paths reduce each output element over K with the same
+``fold_sum`` tree too, so results are independent of N-batching and of the
+worker thread count (parallelism is only across disjoint output row
+ranges). ``gemm_reference`` folds the products of a group of columns in
+one call, ``REF_CHUNK // (M * K)`` columns (at least one): a small weight,
+like a d64 layer in a long prefill, pays the per-call overhead once per
+group instead of once per column, and a weight of 2^16 elements or more
+runs one column at a time.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ INT_PARTIAL_BOUND = 48_768
 # Output columns per block reduction in the int8 kernel; bounds its
 # (blocks, rows, columns) temporaries for long prefills.
 COL_CHUNK = 16
+
+# Product elements per fold in the reference kernel: columns are grouped
+# while a group's (columns, rows, K) product stays within it.
+REF_CHUNK = 1 << 16
 
 GEMM_PATHS = ("reference", "latescale_f32", "int8")
 
@@ -131,7 +141,7 @@ def _parallel_rows(kernel, m: int, n_threads: int) -> np.ndarray:
     Each row is computed by the same sequential reduction regardless of the
     chunking, so outputs are bit-identical for any thread count.
     """
-    if min(m, n_threads) == 1:
+    if min(m, n_threads) <= 1:
         return kernel(0, m)
     chunks = _row_chunks(m, n_threads)
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
@@ -140,10 +150,14 @@ def _parallel_rows(kernel, m: int, n_threads: int) -> np.ndarray:
 
 
 def gemm_reference(w: np.ndarray, a: np.ndarray, n_threads: int | None = None) -> np.ndarray:
-    """Triple-loop float GEMM (M x K) @ (K x N); the comparison baseline.
+    """Float GEMM (M x K) @ (K x N); the comparison baseline.
 
-    einsum without optimization keeps the per-element reduction sequential
-    over K, which the bit-exactness suites rely on.
+    Output element (i, j) is the ``fold_sum`` tree over the K products
+    ``w[i, k] * a[k, j]``. Columns are taken ``REF_CHUNK // (rows * K)``
+    at a time (at least one; ``rows`` is a worker's row range, M at one
+    thread), so a small weight folds a (group, rows, K) product in one
+    call; each element keeps the same tree, so the bits do not depend on
+    the grouping, on N or on the thread count.
     """
     w = np.asarray(w, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -151,14 +165,18 @@ def gemm_reference(w: np.ndarray, a: np.ndarray, n_threads: int | None = None) -
         raise GemmShapeError(f"cannot multiply {w.shape} by {a.shape}")
     if n_threads is None:
         n_threads = default_threads()
+    # Contiguous rows, so every group's product is C-ordered.
+    a_rows = np.ascontiguousarray(a.T)
+    n = a_rows.shape[0]
 
     def kernel(lo, hi):
         wc = w[lo:hi]
-        cols = [
-            fold_sum(wc * a[:, j][None, :], axis=1)
-            for j in range(a.shape[1])
-        ]
-        return np.stack(cols, axis=1)
+        group = max(1, REF_CHUNK // max(1, wc.size))
+        out = np.empty((hi - lo, n))
+        for j in range(0, n, group):
+            cols = slice(j, j + group)
+            out[:, cols] = fold_sum(wc[None] * a_rows[cols, None, :]).T
+        return out
 
     return _parallel_rows(kernel, w.shape[0], n_threads)
 

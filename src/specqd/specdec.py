@@ -148,6 +148,12 @@ class _Session:
         self.history += list(tokens)
         return logits
 
+    def _unconfident(self, row, token: int) -> bool:
+        """Whether ``token``'s probability falls below the threshold; no
+        probability is below 0, so threshold 0 skips the softmax."""
+        return (self.spec.threshold > 0
+                and softmax_probs(row)[token] < self.spec.threshold)
+
     def propose(self, context: list[int], n_max: int, stats: AcceptanceStats,
                 rounds: list[RoundRecord], eos: int | None = None) -> list[int]:
         """Up to ``n_max`` tokens continuing ``context``, from this level's model.
@@ -179,7 +185,7 @@ class _Session:
             token = greedy_next(row)
             out.append(token)
             pending = [token]
-            if token == eos or softmax_probs(row)[token] < self.spec.threshold:
+            if token == eos or self._unconfident(row, token):
                 break
         return out
 
@@ -219,7 +225,7 @@ class _Session:
         # Confidence stop applies to this level's own output stream.
         stop = False
         for j, tok in enumerate(emitted):
-            if softmax_probs(logits[j])[tok] < self.spec.threshold:
+            if self._unconfident(logits[j], tok):
                 emitted = emitted[: j + 1]
                 stop = True
                 break
@@ -302,6 +308,7 @@ class BenchmarkReport:
     geomean_speedup: float | None  # None when no prompt did
     alpha_rows: list[tuple[int, int, float]]  # (prompt index, level, alpha)
     per_level_alpha: dict[int, float]
+    per_level_model_s: dict[int, float]  # forward seconds, summed over prompts
     total_tokens: int
     greedy_seconds: float
     spec_seconds: float
@@ -310,6 +317,9 @@ class BenchmarkReport:
         return {
             "geomean_speedup": self.geomean_speedup,
             "per_level_alpha": {str(k): v for k, v in self.per_level_alpha.items()},
+            "per_level_model_s": {
+                str(k): v for k, v in sorted(self.per_level_model_s.items())
+            },
             "total_tokens": self.total_tokens,
             "greedy_seconds": self.greedy_seconds,
             "spec_seconds": self.spec_seconds,
@@ -346,6 +356,8 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
             alpha_rows.append((pi, level, spec.stats.alpha(level)))
             agg.proposed[level] = agg.proposed.get(level, 0) + spec.stats.proposed[level]
             agg.accepted[level] = agg.accepted.get(level, 0) + spec.stats.accepted[level]
+        for level, seconds in spec.stats.model_time_s.items():
+            agg.add_time(level, seconds)
     per_level = {lv: agg.alpha(lv) for lv in agg.levels()}
     return BenchmarkReport(
         results=results,
@@ -354,6 +366,7 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
                          else geomean(speedups) if tree.depth else 1.0),
         alpha_rows=alpha_rows,
         per_level_alpha=per_level,
+        per_level_model_s=agg.model_time_s,
         total_tokens=total_tokens,
         greedy_seconds=greedy_total,
         spec_seconds=spec_total,

@@ -1,9 +1,11 @@
 import io
+import struct
 
 import numpy as np
 import pytest
 
 from specqd.artifacts import (
+    BadConfig,
     BadMagic,
     MissingSection,
     ShapeMismatch,
@@ -129,6 +131,29 @@ class TestModelRoundtrip:
         data[idx : idx + 5] = b"w_xxx"
         p.write_bytes(bytes(data))
         with pytest.raises(MissingSection):
+            load_model(p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("d_model=32", "d_model="),  # no value
+        lambda text: text + "\nfoo=1",  # unknown key
+        lambda text: text.replace("d_model=32", "d_model='x'"),  # wrong type
+        lambda text: text.replace("d_model=32", "d_model=32.0"),
+        lambda text: text.replace("norm_epsilon=1e-05", "norm_epsilon='x'"),
+        lambda text: text.replace("gemm_path='int8'", "gemm_path='fp8'"),
+    ], ids=["empty-value", "unknown-key", "wrong-type", "float-dimension",
+            "text-epsilon", "unknown-gemm-path"])
+    def test_corrupt_config_block(self, tmp_path, edit):
+        p = tmp_path / "m.bin"
+        save_model(p, init_seeded(CFG, 10))
+        data = p.read_bytes()
+        # Magic, u16 version, u32 config length, then the config block.
+        (cfg_len,) = struct.unpack("<I", data[6:10])
+        text = data[10:10 + cfg_len].decode()
+        blob = edit(text).encode()
+        assert blob != text.encode()
+        p.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob
+                      + data[10 + cfg_len:])
+        with pytest.raises(BadConfig):
             load_model(p)
 
     def test_truncated_file(self, tmp_path):

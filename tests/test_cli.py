@@ -52,6 +52,23 @@ class TestQuantize:
         m = artifacts.load_model(draft)
         assert m.is_quantized
 
+    @pytest.mark.parametrize("command", ["quantize", "generate"])
+    def test_corrupt_config_returns_1(self, models, tmp_path, capsys, command):
+        target, _, prompts = models
+        bad = tmp_path / "bad.bin"
+        data = target.read_bytes()
+        assert data.count(b"d_model=32") == 1
+        bad.write_bytes(data.replace(b"d_model=32", b"d_model=''"))
+        argv = {
+            "quantize": ["quantize", "--model", str(bad),
+                         "--out", str(tmp_path / "q.bin")],
+            "generate": ["generate", "--target", str(bad), "--prompts",
+                         str(prompts), "--out", str(tmp_path / "out")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "error: bad model config block" in capsys.readouterr().err
+
     def test_missing_input_returns_1(self, tmp_path, capsys):
         rc = main(["quantize", "--model", str(tmp_path / "absent.bin"),
                    "--out", str(tmp_path / "o.bin")])

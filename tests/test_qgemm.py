@@ -51,6 +51,40 @@ class TestReference:
         with pytest.raises(GemmShapeError):
             gemm_reference(np.ones((2, 3)), np.ones((4, 2)))
 
+    @staticmethod
+    def per_column_oracle(w, a):
+        """The kernel before column grouping: one fold per output column."""
+        return np.stack(
+            [fold_sum(w * a[:, j][None, :], axis=1) for j in range(a.shape[1])],
+            axis=1,
+        )
+
+    # (M, K): M*K below 2^16 groups columns, at or above it does not.
+    @pytest.mark.parametrize("m,k", [(64, 32), (40, 48), (96, 96),
+                                     (2048, 32), (700, 96)])
+    def test_matches_per_column_oracle(self, m, k):
+        rng = np.random.default_rng(m * k)
+        w = rng.standard_normal((m, k))
+        # Signed-zero products: row 0 gives -0.0 against a non-negative
+        # column 0, row 1 gives +0.0, and row 2 mixes both signs.
+        w[0], w[1], w[2, ::2] = -0.0, 0.0, -0.0
+        g = max(1, qgemm.REF_CHUNK // (m * k))
+        for n in sorted({1, max(1, g - 1), g, g + 1, 400}):
+            a = rng.standard_normal((k, n))
+            a[:, 0] = np.abs(a[:, 0])
+            want = self.per_column_oracle(w, a)
+            assert np.signbit(want[0, 0]) and not np.signbit(want[1, 0])
+            want = want.tobytes()
+            for threads in (1, 3):
+                assert gemm_reference(w, a, n_threads=threads).tobytes() == want
+
+    def test_empty_operands(self):
+        assert gemm_reference(np.ones((0, 32)), np.ones((32, 3))).shape == (0, 3)
+        assert gemm_reference(np.ones((4, 32)), np.ones((32, 0))).shape == (4, 0)
+        assert np.array_equal(
+            gemm_reference(np.ones((3, 0)), np.ones((0, 5))), np.zeros((3, 5))
+        )
+
 
 class TestFoldSum:
     def test_matches_plain_sum(self):

@@ -242,6 +242,40 @@ class TestForwardCount:
         assert sum(calls.values()) < before
 
 
+class TestConfidenceSkip:
+    PROMPTS = ([1, 2, 3], [7, 40, 99, 5])
+
+    def test_threshold_zero_skips_softmax(self, target, mx_draft, small_draft,
+                                          monkeypatch):
+        calls = Counter()
+        real = specdec.softmax_probs
+
+        def counting(row):
+            calls["softmax"] += 1
+            return real(row)
+
+        monkeypatch.setattr(specdec, "softmax_probs", counting)
+
+        def run(threshold):
+            # An argmax's probability is at least 1 / vocab, so a threshold
+            # of 1e-9 never stops a level either, but it does call softmax.
+            tree = SpecTree([LevelSpec(target, 4, threshold),
+                             LevelSpec(mx_draft, 4, threshold),
+                             LevelSpec(small_draft, 2, threshold)])
+            calls.clear()
+            results = [speculative_generate(tree, p, 24) for p in self.PROMPTS]
+            return calls["softmax"], [
+                (r.tokens, r.stats.proposed, r.stats.accepted, r.stats.rounds,
+                 [(x.level, x.proposed, x.accepted) for x in r.rounds])
+                for r in results
+            ]
+
+        skipped, got = run(0.0)
+        called, want = run(1e-9)
+        assert skipped == 0 and called > 0
+        assert got == want
+
+
 class TestBenchmark:
     def test_report_and_losslessness(self, target, mx_draft):
         tree = two_level(target, mx_draft, n=4)
@@ -259,6 +293,17 @@ class TestBenchmark:
         rep_mx = run_benchmark(two_level(target, mx_draft), [[1], [7]], 16)
         rep_sm = run_benchmark(two_level(target, small_draft), [[1], [7]], 16)
         assert rep_mx.per_level_alpha[1] > rep_sm.per_level_alpha[1]
+
+    def test_per_level_model_seconds(self, target, mx_draft, small_draft):
+        tree = SpecTree([LevelSpec(target, 4, 0.0), LevelSpec(mx_draft, 4, 0.0),
+                         LevelSpec(small_draft, 2, 0.0)])
+        rep = run_benchmark(tree, [[1], [2, 3]], max_new=8)
+        got = json.loads(rep.summary_json())["per_level_model_s"]
+        assert set(got) == {"0", "1", "2"}
+        assert all(seconds > 0 for seconds in got.values())
+        for level, seconds in got.items():
+            assert seconds == pytest.approx(sum(
+                r.stats.model_time_s[int(level)] for r in rep.results))
 
     def test_empty_prompt_set(self, target, mx_draft):
         with pytest.raises(ValueError):
