@@ -2,8 +2,9 @@
 
 Subcommands: model-init, quantize, generate, gemm-bench, speedup-surface,
 roofline. All results are files (CSV/JSON) plus a short stdout summary;
-there is no interactive mode. Kernel parallelism is capped by the
-SPECQD_THREADS environment variable.
+there is no interactive mode. The MXFP4 kernels' worker threads are capped
+by the SPECQD_THREADS environment variable; the float reference kernel
+takes its parallelism from BLAS.
 """
 
 from __future__ import annotations

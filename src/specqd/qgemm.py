@@ -2,9 +2,9 @@
 
 Three paths sharing one arithmetic contract:
 
-* ``gemm_reference``     — plain float GEMM, the oracle everything is
-                           checked against (dequantize-then-multiply),
-                           and the unquantized target's arithmetic.
+* ``gemm_reference``     — float GEMM, the oracle everything is checked
+                           against (dequantize-then-multiply), and the
+                           unquantized target's arithmetic.
 * ``gemm_mxfp4_latescale_f32`` — decodes E2M1 weights to float, accumulates
                            each 32-element block, then applies the block
                            scale once to the partial accumulator.
@@ -22,14 +22,22 @@ is every partial sum of its terms, so float32 represents each step and any
 summation order BLAS picks gives the same bits. Only the cross-block sum
 of scaled partials is rounded, and ``fold_sum`` does it in a fixed order.
 
-The float paths reduce each output element over K with the same
-``fold_sum`` tree too, so results are independent of N-batching and of the
-worker thread count (parallelism is only across disjoint output row
-ranges). ``gemm_reference`` folds the products of a group of columns in
-one call, ``REF_CHUNK // (M * K)`` columns (at least one): a small weight,
-like a d64 layer in a long prefill, pays the per-call overhead once per
-group instead of once per column, and a weight of 2^16 elements or more
-runs one column at a time.
+``gemm_reference`` is exact the same way, after an Ozaki-style error-free
+split (Ozaki et al. 2012, Numer. Algorithms 59). A ``FloatWeight`` stores
+each row as two integer-valued float64 slices of 26 bits under one
+power-of-two row exponent, built on first use; the slices replace the
+float64 values whenever they rebuild them exactly, which every
+float32-valued row with at most 28 bits of dynamic range does. Each call
+splits every activation column into three slices of 53 - 26 - ceil(log2 K)
+bits under one column exponent. A slice dot product is then an integer
+below 2^53, so one float64 BLAS matmul per 64 columns gives all six slice
+products exactly, whatever order or thread count BLAS uses. Only the sum
+of the six scaled products is rounded, in a fixed order.
+
+So every path's result for a column depends only on that column: it is
+independent of N-batching and of the thread count. The MXFP4 paths take
+their parallelism from worker threads over disjoint output row ranges, the
+reference path from BLAS.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,9 +66,17 @@ INT_PARTIAL_BOUND = 48_768
 # (blocks, rows, columns) temporaries for long prefills.
 COL_CHUNK = 16
 
-# Product elements per fold in the reference kernel: columns are grouped
-# while a group's (columns, rows, K) product stays within it.
-REF_CHUNK = 1 << 16
+# The reference kernel's slicing: W_SLICES weight slices of W_SLICE_BITS
+# bits and A_SLICES activation slices, so a product of one weight slice and
+# one activation slice leaves ceil(log2 K) bits of headroom below 2^53.
+# ``_join`` and the kernel's final sum are written out for 2 and 3 slices.
+W_SLICES = 2
+W_SLICE_BITS = 26
+A_SLICES = 3
+
+# Output columns per slice matmul in the reference kernel; bounds its
+# (slices, columns, rows) temporaries for long prefills.
+SLICE_COL_CHUNK = 64
 
 GEMM_PATHS = ("reference", "latescale_f32", "int8")
 
@@ -149,36 +166,131 @@ def _parallel_rows(kernel, m: int, n_threads: int) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
-def gemm_reference(w: np.ndarray, a: np.ndarray, n_threads: int | None = None) -> np.ndarray:
+class FloatWeight:
+    """A float weight held as the reference GEMM's exact-slice operand.
+
+    ``values`` holds the (M, K) matrix until the first GEMM reads
+    ``slices``, which splits every row into ``W_SLICES`` integer-valued
+    float64 slices of ``W_SLICE_BITS`` bits under one power-of-two row
+    exponent. If the slices rebuild every value bit for bit, ``values``
+    becomes None, so a model keeps one copy of its weights, not two. That
+    holds for every float32-valued row whose dynamic range is at most
+    52 - 24 = 28 bits. ``np.asarray`` gives the values either way.
+    """
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2:
+            raise GemmShapeError(f"a weight must be 2-D, got shape {values.shape}")
+        self.shape = values.shape
+        self.values = values
+
+    @cached_property
+    def slices(self):
+        """(slices of shape (K, W_SLICES * M), scales of shape (W_SLICES, M)).
+
+        Column s * M + i holds slice s of row i, and that row is
+        sum_s slice_s * scales[s, i] up to a remainder below 2^-51 times
+        its largest magnitude. ``CodecError`` for a non-finite value.
+        """
+        values = self.values
+        exps = _exponents(values)
+        parts = _split(values, exps[:, None], W_SLICE_BITS, W_SLICES)
+        # So that a -0.0 weight rebuilds as -0.0.
+        np.copysign(parts[-1], values, out=parts[-1])
+        steps = W_SLICE_BITS * np.arange(1, W_SLICES + 1)[:, None]
+        scales = np.ldexp(1.0, exps - steps)
+        rebuilt = _join(parts, scales)
+        if (np.array_equal(rebuilt, values)
+                and np.array_equal(np.signbit(rebuilt), np.signbit(values))):
+            self.values = None
+        return np.ascontiguousarray(parts.reshape(-1, self.shape[1]).T), scales
+
+    def __array__(self, dtype=None, copy=None):
+        values = self.values
+        if values is None:
+            parts, scales = self.slices
+            values = _join(parts.T.reshape(W_SLICES, *self.shape), scales)
+        elif copy:
+            values = values.copy()
+        return values if dtype is None else values.astype(dtype, copy=False)
+
+
+def _exponents(x: np.ndarray) -> np.ndarray:
+    """Per-row e with max|row| < 2^e (0 for a zero row); ``CodecError``
+    if a row holds a non-finite value."""
+    absmax = np.abs(x).max(axis=1)
+    if not np.isfinite(absmax).all():
+        raise CodecError("gemm_reference requires finite operands")
+    return np.frexp(absmax)[1]
+
+
+def _split(x: np.ndarray, exps: np.ndarray, bits: int, count: int) -> np.ndarray:
+    """``count`` integer-valued slices of ``bits`` bits each, so that
+    x = sum_s out[s] * 2^(exps - bits * (s + 1)) plus a remainder below
+    2^(exps - bits * count). Each step is exact: scaling by a power of two,
+    truncating, and subtracting the truncation."""
+    out = np.empty((count,) + x.shape)
+    rest = np.ldexp(x, bits - exps)
+    for s in range(count):
+        np.trunc(rest, out=out[s])
+        if s + 1 < count:
+            rest = np.ldexp(rest - out[s], bits)
+    return out
+
+
+def _join(parts: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """The values that two weight slices and their row scales stand for."""
+    return parts[0] * scales[0][:, None] + parts[1] * scales[1][:, None]
+
+
+def gemm_reference(w, a: np.ndarray, n_threads: int | None = None) -> np.ndarray:
     """Float GEMM (M x K) @ (K x N); the comparison baseline.
 
-    Output element (i, j) is the ``fold_sum`` tree over the K products
-    ``w[i, k] * a[k, j]``. Columns are taken ``REF_CHUNK // (rows * K)``
-    at a time (at least one; ``rows`` is a worker's row range, M at one
-    thread), so a small weight folds a (group, rows, K) product in one
-    call; each element keeps the same tree, so the bits do not depend on
-    the grouping, on N or on the thread count.
+    ``w`` is a ``FloatWeight``, or any 2-D array, which becomes one for
+    this call. Each activation column is split into ``A_SLICES``
+    integer-valued slices of b = 53 - W_SLICE_BITS - ceil(log2 K) bits
+    under one power-of-two column exponent, so the dot product of a weight
+    slice and an activation slice is an integer below 2^53, exact in
+    float64 in whatever order BLAS sums it. One float64 matmul per
+    ``SLICE_COL_CHUNK`` columns gives all six slice products; they are
+    scaled by powers of two (exact) and summed in a fixed order. A
+    column's result therefore depends only on that column and the weight:
+    it is the same alone, inside any batch and at any BLAS thread count.
+    Against the exact product, for operands and results in float64's
+    normal range, the error is below
+    K * max|w[i, :]| * max|a[:, j]| * (2^(1 - 3b) + 2^-49).
+
+    ``n_threads`` is accepted and ignored: BLAS gives the parallelism.
+    Raises ``CodecError`` for a non-finite operand.
     """
-    w = np.asarray(w, dtype=np.float64)
+    if not isinstance(w, FloatWeight):
+        w = FloatWeight(w)
     a = np.asarray(a, dtype=np.float64)
-    if w.ndim != 2 or a.ndim != 2 or w.shape[1] != a.shape[0]:
+    if a.ndim != 2 or w.shape[1] != a.shape[0]:
         raise GemmShapeError(f"cannot multiply {w.shape} by {a.shape}")
-    if n_threads is None:
-        n_threads = default_threads()
-    # Contiguous rows, so every group's product is C-ordered.
+    (m, k), n = w.shape, a.shape[1]
+    if min(m, k, n) == 0:
+        return np.zeros((m, n))
+    w_parts, w_scales = w.slices
+    bits = 53 - W_SLICE_BITS - (k - 1).bit_length()
+    steps = np.exp2(-bits * np.arange(1, A_SLICES + 1))[:, None]
     a_rows = np.ascontiguousarray(a.T)
-    n = a_rows.shape[0]
-
-    def kernel(lo, hi):
-        wc = w[lo:hi]
-        group = max(1, REF_CHUNK // max(1, wc.size))
-        out = np.empty((hi - lo, n))
-        for j in range(0, n, group):
-            cols = slice(j, j + group)
-            out[:, cols] = fold_sum(wc[None] * a_rows[cols, None, :]).T
-        return out
-
-    return _parallel_rows(kernel, w.shape[0], n_threads)
+    a_exps = _exponents(a_rows)
+    out = np.empty((m, n))
+    for j in range(0, n, SLICE_COL_CHUNK):
+        cols = slice(j, j + SLICE_COL_CHUNK)
+        e = a_exps[cols]
+        parts = _split(a_rows[cols], e[:, None], bits, A_SLICES)
+        # (activation slice, column, weight slice, row)
+        prod = (parts.reshape(-1, k) @ w_parts).reshape(A_SLICES, -1, W_SLICES, m)
+        prod *= np.ldexp(steps, e)[:, :, None, None]
+        prod *= w_scales
+        # Sum over weight slices, then over activation slices, most
+        # significant first.
+        by_a = prod[:, :, 0] + prod[:, :, 1]
+        out[:, cols] = ((by_a[0] + by_a[1]) + by_a[2]).T
+    return out
 
 
 def quantize_activations(a: np.ndarray) -> QuantizedActivationPanel:
@@ -322,8 +434,11 @@ def gemm_bench(
     rng = rng or np.random.default_rng(0)
     w_f = rng.standard_normal((shape.m, shape.k))
     a = rng.standard_normal((shape.k, shape.n))
+    # Each weight is stationary: the float slices, like the int8 operand,
+    # are built by the first warm-up call, not timed.
     if path == "reference":
-        run = lambda: gemm_reference(w_f, a)
+        w_ref = FloatWeight(w_f)
+        run = lambda: gemm_reference(w_ref, a)
     else:
         from .mxfp4 import quantize_direct_cast
 
@@ -333,7 +448,7 @@ def gemm_bench(
         else:
             panel = quantize_activations(a)
             run = lambda: gemm_mxfp4_int8(w_q, panel)
-    for _ in range(warmups):
+    for _ in range(max(1, warmups)):
         run()
     times = []
     for _ in range(repetitions):

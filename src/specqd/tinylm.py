@@ -51,9 +51,17 @@ class TokenRangeError(ValueError):
 
 @dataclass
 class LinearWeight:
-    """A (out_features x in_features) weight in float or MXFP4 storage."""
+    """A (out_features x in_features) weight in float or MXFP4 storage.
 
-    weight: np.ndarray | MxfpTensor
+    A float weight is kept as a ``qgemm.FloatWeight``, which becomes the
+    reference GEMM's slices on first use; ``np.asarray`` gives its values.
+    """
+
+    weight: qgemm.FloatWeight | MxfpTensor
+
+    def __post_init__(self):
+        if not isinstance(self.weight, (qgemm.FloatWeight, MxfpTensor)):
+            self.weight = qgemm.FloatWeight(self.weight)
 
     @property
     def is_quantized(self) -> bool:

@@ -22,7 +22,14 @@ from specqd.artifacts import (
     unpack_nibbles,
 )
 from specqd.mxfp4 import BLOCK_SIZE, quantize_direct_cast
-from specqd.tinylm import LmConfig, direct_cast_mxfp4, init_seeded, model_checksum
+from specqd.tinylm import (
+    KvCache,
+    LmConfig,
+    direct_cast_mxfp4,
+    forward,
+    init_seeded,
+    model_checksum,
+)
 
 CFG = LmConfig(d_model=32, n_layers=2, n_heads=2, d_ff=64, max_seq_len=64)
 
@@ -108,6 +115,24 @@ class TestModelRoundtrip:
         got = load_model(p)
         assert got.is_quantized and got.gemm_path == "int8"
         assert model_checksum(got) == model_checksum(q)
+
+    def test_bytes_unchanged_by_first_gemm(self, tmp_path):
+        # The first GEMM replaces each float weight's values by its slices;
+        # saving, hashing and casting must not see the difference.
+        m = init_seeded(CFG, 9)
+
+        def outputs(tag):
+            save_model(tmp_path / f"{tag}.bin", m)
+            save_model(tmp_path / f"{tag}_q.bin", direct_cast_mxfp4(m))
+            return [model_checksum(m), (tmp_path / f"{tag}.bin").read_bytes(),
+                    (tmp_path / f"{tag}_q.bin").read_bytes()]
+
+        before = outputs("before")
+        assert all(lw.weight.values is not None for lw in m.all_linears())
+        forward(m, KvCache.empty(CFG), [1, 2, 3])
+        assert all(lw.weight.values is None for lw in m.all_linears())
+        assert outputs("after") == before
+        assert model_checksum(load_model(tmp_path / "after.bin")) == before[0]
 
     def test_config_preserved(self, tmp_path):
         m = init_seeded(CFG, 7)

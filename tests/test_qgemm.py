@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from specqd import mxfp4, qgemm
-from specqd.mxfp4 import BLOCK_SIZE, MxfpTensor, dequantize, quantize_direct_cast
+from specqd.mxfp4 import (
+    BLOCK_SIZE,
+    CodecError,
+    MxfpTensor,
+    dequantize,
+    quantize_direct_cast,
+)
 from specqd.qgemm import (
     INT_PARTIAL_BOUND,
     BenchResult,
+    FloatWeight,
     GemmShape,
     GemmShapeError,
     dequantize_activations,
@@ -51,32 +58,77 @@ class TestReference:
         with pytest.raises(GemmShapeError):
             gemm_reference(np.ones((2, 3)), np.ones((4, 2)))
 
-    @staticmethod
-    def per_column_oracle(w, a):
-        """The kernel before column grouping: one fold per output column."""
-        return np.stack(
-            [fold_sum(w * a[:, j][None, :], axis=1) for j in range(a.shape[1])],
-            axis=1,
-        )
+    # Around the slice matmul's column chunk, and a long prefill.
+    @pytest.mark.parametrize("n", sorted({1, qgemm.SLICE_COL_CHUNK - 1,
+                                          qgemm.SLICE_COL_CHUNK,
+                                          qgemm.SLICE_COL_CHUNK + 1, 400}))
+    def test_column_alone_equals_batch(self, n):
+        rng = np.random.default_rng(n)
+        w = FloatWeight(rng.uniform(-1, 1, (40, 96)).astype(np.float32))
+        # Columns of very different magnitude get different exponents.
+        a = rng.standard_normal((96, n)) * np.exp2(rng.integers(-20, 20, n))
+        batch = gemm_reference(w, a)
+        for j in range(n):
+            alone = gemm_reference(w, a[:, j:j + 1])
+            assert alone.tobytes() == batch[:, j:j + 1].tobytes()
 
-    # (M, K): M*K below 2^16 groups columns, at or above it does not.
-    @pytest.mark.parametrize("m,k", [(64, 32), (40, 48), (96, 96),
-                                     (2048, 32), (700, 96)])
-    def test_matches_per_column_oracle(self, m, k):
-        rng = np.random.default_rng(m * k)
-        w = rng.standard_normal((m, k))
-        # Signed-zero products: row 0 gives -0.0 against a non-negative
-        # column 0, row 1 gives +0.0, and row 2 mixes both signs.
-        w[0], w[1], w[2, ::2] = -0.0, 0.0, -0.0
-        g = max(1, qgemm.REF_CHUNK // (m * k))
-        for n in sorted({1, max(1, g - 1), g, g + 1, 400}):
-            a = rng.standard_normal((k, n))
-            a[:, 0] = np.abs(a[:, 0])
-            want = self.per_column_oracle(w, a)
-            assert np.signbit(want[0, 0]) and not np.signbit(want[1, 0])
-            want = want.tobytes()
-            for threads in (1, 3):
-                assert gemm_reference(w, a, n_threads=threads).tobytes() == want
+    @staticmethod
+    def error_bound(w, a) -> np.ndarray:
+        """The kernel's stated bound, K * max|w_i.| * max|a_.j| *
+        (2^(1 - 3b) + 2^-49) with b = 53 - W_SLICE_BITS - ceil(log2 K)."""
+        k = w.shape[1]
+        bits = 53 - qgemm.W_SLICE_BITS - (k - 1).bit_length()
+        scale = np.max(np.abs(w), axis=1)[:, None] * np.max(np.abs(a), axis=0)
+        return k * scale * (2.0 ** (1 - 3 * bits) + 2.0 ** -49)
+
+    @pytest.mark.parametrize("k", [1, 3, 32, 100, 1024])
+    @pytest.mark.parametrize("float32_weights", [True, False])
+    def test_within_bound_of_exact_product(self, k, float32_weights):
+        rng = np.random.default_rng(k)
+        # Mixed magnitudes, so slices beyond the first carry bits.
+        w = rng.standard_normal((3, k)) * np.exp2(rng.integers(-12, 12, (3, k)))
+        a = rng.standard_normal((k, 2)) * np.exp2(rng.integers(-12, 12, (k, 2)))
+        if float32_weights:
+            w = w.astype(np.float32).astype(np.float64)
+        got = gemm_reference(w, a)
+        bound = self.error_bound(w, a)
+        for i in range(3):
+            for j in range(2):
+                exact = sum(Fraction(float(w[i, t])) * Fraction(float(a[t, j]))
+                            for t in range(k))
+                assert abs(Fraction(float(got[i, j])) - exact) <= Fraction(bound[i, j])
+
+    def test_holder_drops_values_only_when_lossless(self):
+        rng = np.random.default_rng(11)
+        narrow = rng.uniform(-1, 1, (5, 64)).astype(np.float32).astype(np.float64)
+        narrow[:, 0] = 0.75  # every row's exponent is 0: max|row| < 2^0
+        # A float32 value in [2^-28, 2^-27) has its last bit at 2^-51.
+        tiny = float(np.float32(1.2345678)) * 2.0 ** -28
+        narrow[0, 1:5] = [-0.0, 0.0, tiny, -tiny]
+        wide = narrow.copy()
+        wide[1, 7] = tiny / 4  # last bit at 2^-53: 30 bits of range
+        full = rng.standard_normal((5, 64))  # 53-bit mantissas
+        a = rng.standard_normal((64, 3))
+        for values, dropped in ((narrow, True), (wide, False), (full, False)):
+            w = FloatWeight(values.copy())
+            assert w.values is not None and "slices" not in vars(w)
+            gemm_reference(w, a)
+            assert (w.values is None) == dropped
+            assert np.asarray(w).tobytes() == values.tobytes()
+            assert np.asarray(w, dtype=np.float32).tobytes() == \
+                values.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_operands_raise(self, bad):
+        w, a = np.ones((4, 8)), np.ones((8, 2))
+        w[1, 3] = bad
+        with pytest.raises(CodecError):
+            gemm_reference(w, a)
+        with pytest.raises(CodecError):
+            gemm_reference(FloatWeight(w), a)
+        a[5, 1] = bad
+        with pytest.raises(CodecError):
+            gemm_reference(np.ones((4, 8)), a)
 
     def test_empty_operands(self):
         assert gemm_reference(np.ones((0, 32)), np.ones((32, 3))).shape == (0, 3)
@@ -296,6 +348,18 @@ class TestBench:
         mx_w = int(256 * 256 * 4.25 / 8)
         assert f32_w / mx_w == pytest.approx(32 / 4.25)  # 7.53x vs f32
         assert (f32_w / 2) / mx_w == pytest.approx(16 / 4.25)  # 3.76x vs bf16
+
+    def test_reference_bench_times_a_stationary_weight(self, monkeypatch):
+        splits = []
+        split = qgemm._split
+        monkeypatch.setattr(qgemm, "_split",
+                            lambda x, e, bits, count: splits.append(count) or
+                            split(x, e, bits, count))
+        res = gemm_bench(GemmShape(64, 2, 64), "reference", repetitions=9)
+        assert res.seconds > 0
+        # The weight is split once, in warm-up; each call splits activations.
+        assert splits.count(qgemm.W_SLICES) == 1
+        assert splits.count(qgemm.A_SLICES) == 9 + 2
 
     def test_bench_smoke(self):
         res = gemm_bench(GemmShape(64, 2, 64), "int8", repetitions=9)

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import specqd
 
 from specqd import qgemm, tinylm
 from specqd.mxfp4 import MxfpTensor
@@ -163,6 +170,35 @@ class TestForward:
         monkeypatch.setenv("SPECQD_THREADS", "4")
         c2 = KvCache.empty(CFG)
         assert np.array_equal(base, forward(model, c2, [1, 2]))
+
+
+# Prints one digest over a reference GEMM and the logits of a d64 forward.
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from specqd import qgemm, tinylm
+rng = np.random.default_rng(0)
+h = hashlib.sha256(qgemm.gemm_reference(rng.standard_normal((300, 200)),
+                                        rng.standard_normal((200, 70))).tobytes())
+cfg = tinylm.LmConfig(d_model=64, n_layers=2, n_heads=4, d_ff=128)
+model = tinylm.init_seeded(cfg, 0)
+h.update(tinylm.forward(model, tinylm.KvCache.empty(cfg), list(range(40))).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_blas_thread_count_does_not_change_bits():
+    # BLAS does the reference GEMM's reductions, so its thread count is
+    # one more place where the bits could start to depend on the host.
+    src = str(Path(specqd.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def loop_attention(q, keys, vals, start):
