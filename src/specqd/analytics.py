@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mxfp4 import BITS_PER_ELEMENT, BLOCK_SIZE
+from .mxfp4 import BITS_PER_ELEMENT
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ takes its parallelism from BLAS.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 

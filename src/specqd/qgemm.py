@@ -56,7 +56,6 @@ from .mxfp4 import (
     CodecError,
     MxfpTensor,
     decoded_weights,
-    fp4_to_int8_lut,
 )
 
 # max |LUT entry| * max |int8| * block size = 12 * 127 * 32

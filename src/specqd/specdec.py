@@ -112,18 +112,14 @@ class GenerationResult:
 
 
 class _Session:
-    """One level's model plus its cache and the token history the cache covers.
-
-    Invariant between calls: cache length == len(history), and the next
-    forward feeds tokens starting right after ``history``.
-    """
+    """One level's model plus its cache; the cache records the tokens it
+    covers, and the next forward feeds tokens right after them."""
 
     def __init__(self, spec: LevelSpec, level: int, child: "_Session | None"):
         self.spec = spec
         self.level = level
         self.child = child
         self.cache = KvCache.empty(spec.model.config)
-        self.history: list[int] = []
 
     def _unfed(self, context: list[int]) -> list[int]:
         """Roll the cache back to its longest prefix shared with
@@ -132,20 +128,17 @@ class _Session:
         The result always ends with ``context[-1]``, so the level's next
         forward feeds it along with the round's own tokens.
         """
-        common = 0
-        limit = min(len(self.history), len(context) - 1)
-        while common < limit and self.history[common] == context[common]:
-            common += 1
-        if common < len(self.history):
+        fed = self.cache.tokens[:min(self.cache.length, len(context) - 1)]
+        differ = np.flatnonzero(fed != context[:fed.size])
+        common = int(differ[0]) if differ.size else fed.size
+        if common < self.cache.length:
             rollback(self.cache, common)
-            self.history = self.history[:common]
         return context[common:]
 
     def _timed_forward(self, tokens, stats: AcceptanceStats):
         t0 = time.perf_counter()
         logits = forward(self.spec.model, self.cache, tokens)
         stats.add_time(self.level, time.perf_counter() - t0)
-        self.history += list(tokens)
         return logits
 
     def _unconfident(self, row, token: int) -> bool:
@@ -212,9 +205,7 @@ class _Session:
             accepted += 1
         bonus = greedy_next(logits[accepted])
         # Drop cache entries of rejected proposals; bonus stays unprocessed.
-        keep = len(context) + accepted
-        rollback(self.cache, keep)
-        self.history = self.history[:keep]
+        rollback(self.cache, len(context) + accepted)
         if proposed:
             stats.record(self.level + 1, len(proposed), accepted)
         rounds.append(RoundRecord(

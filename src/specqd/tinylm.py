@@ -13,12 +13,12 @@ processing them one at a time, token for token and bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import qgemm
-from .mxfp4 import BLOCK_SIZE, MxfpTensor, dequantize, quantize_direct_cast
+from .mxfp4 import MxfpTensor, quantize_direct_cast
 
 
 @dataclass(frozen=True)
@@ -161,28 +161,30 @@ class TinyLmModel:
 
 @dataclass
 class KvCache:
-    """Per-layer key/value history for one generation session."""
+    """One session's keys, values and tokens in buffers preallocated for
+    the model's whole context; the first ``length`` positions are valid.
 
-    keys: list[np.ndarray] = field(default_factory=list)
-    values: list[np.ndarray] = field(default_factory=list)
+    keys and values have shape (n_layers, max_seq_len, n_heads, d_head),
+    tokens (max_seq_len,).
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+    tokens: np.ndarray
     length: int = 0
 
     @classmethod
     def empty(cls, config: LmConfig) -> "KvCache":
-        d_head = config.d_model // config.n_heads
-        shape = (0, config.n_heads, d_head)
-        return cls(
-            keys=[np.zeros(shape) for _ in range(config.n_layers)],
-            values=[np.zeros(shape) for _ in range(config.n_layers)],
-        )
+        shape = (config.n_layers, config.max_seq_len, config.n_heads,
+                 config.d_model // config.n_heads)
+        return cls(np.zeros(shape), np.zeros(shape),
+                   np.zeros(config.max_seq_len, dtype=np.int64))
 
 
 def rollback(cache: KvCache, to_length: int) -> KvCache:
     """Truncate the cache to the state after the first ``to_length`` tokens."""
     if to_length > cache.length or to_length < 0:
         raise ValueError(f"cannot roll back to {to_length} from {cache.length}")
-    cache.keys = [k[:to_length].copy() for k in cache.keys]
-    cache.values = [v[:to_length].copy() for v in cache.values]
     cache.length = to_length
     return cache
 
@@ -301,7 +303,9 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
 
     Returns logits of shape (len(new_tokens), vocab); row i conditions on
     the cache plus new_tokens[: i + 1]. Verifying N+1 positions therefore
-    costs one call.
+    costs one call. Keys and values are written in place past the cached
+    positions, and ``length`` advances only once the logits exist, so a
+    forward that raises leaves the cache as it was.
     """
     cfg = model.config
     tokens = np.asarray(new_tokens, dtype=np.int64)
@@ -314,7 +318,8 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
         )
     n = tokens.size
     start = cache.length
-    if start + n > cfg.max_seq_len:
+    end = start + n
+    if end > cfg.max_seq_len:
         raise ContextOverflow(
             f"{start} cached + {n} new tokens exceed max_seq_len={cfg.max_seq_len}"
         )
@@ -322,7 +327,7 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
         time.sleep(model.forward_penalty_s)
 
     d_head = cfg.d_model // cfg.n_heads
-    x = model.tok_emb[tokens] + model.pos_emb[start : start + n]
+    x = model.tok_emb[tokens] + model.pos_emb[start:end]
 
     for li, layer in enumerate(model.layers):
         h = _layer_norm(x, layer.ln1_g, layer.ln1_b, cfg.norm_epsilon)
@@ -331,12 +336,9 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
             lw.apply(h, model.gemm_path, operands).reshape(n, cfg.n_heads, d_head)
             for lw in (layer.wq, layer.wk, layer.wv)
         )
-        keys = np.concatenate([cache.keys[li], k], axis=0)
-        vals = np.concatenate([cache.values[li], v], axis=0)
-        cache.keys[li] = keys
-        cache.values[li] = vals
-
-        ctx = _attention(q, keys, vals, start)
+        cache.keys[li, start:end] = k
+        cache.values[li, start:end] = v
+        ctx = _attention(q, cache.keys[li, :end], cache.values[li, :end], start)
         attn = layer.wo.apply(ctx.reshape(n, cfg.d_model), model.gemm_path)
         x = x + attn
 
@@ -344,9 +346,11 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
         up = _gelu(layer.w_up.apply(h, model.gemm_path))
         x = x + layer.w_down.apply(up, model.gemm_path)
 
-    cache.length = start + n
     h = _layer_norm(x, model.final_ln_g, model.final_ln_b, cfg.norm_epsilon)
-    return model.w_out.apply(h, model.gemm_path)
+    logits = model.w_out.apply(h, model.gemm_path)
+    cache.tokens[start:end] = tokens
+    cache.length = end
+    return logits
 
 
 def greedy_next(logits_row: np.ndarray) -> int:

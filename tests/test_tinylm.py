@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 import specqd
 
 from specqd import qgemm, tinylm
-from specqd.mxfp4 import MxfpTensor
+from specqd.mxfp4 import CodecError, MxfpTensor
 from specqd.tinylm import (
     ContextOverflow,
     KvCache,
+    LinearWeight,
     LmConfig,
     TokenRangeError,
     _attention,
@@ -252,7 +254,19 @@ class TestRollback:
         cache = KvCache.empty(CFG)
         forward(model, cache, [1, 2])
         rollback(cache, 0)
-        assert cache.length == 0 and cache.keys[0].shape[0] == 0
+        assert cache.length == 0
+        want = forward(model, KvCache.empty(CFG), [7, 8])
+        assert forward(model, cache, [7, 8]).tobytes() == want.tobytes()
+
+    def test_buffers_reused(self, model):
+        cache = KvCache.empty(CFG)
+        made = vars(cache).copy()
+        forward(model, cache, [1, 2, 3])
+        rollback(cache, 1)
+        forward(model, cache, [4, 5])
+        for name in ("keys", "values", "tokens"):
+            assert np.shares_memory(getattr(cache, name), made[name])
+        assert cache.tokens[:cache.length].tolist() == [1, 4, 5]
 
     def test_rollback_then_forward_equals_fresh(self, model):
         cache = KvCache.empty(CFG)
@@ -285,6 +299,29 @@ class TestRollback:
             fresh = KvCache.empty(CFG)
             ref = forward(model, fresh, prefix)
             assert np.array_equal(last[-1], ref[-1])
+
+
+def _poisoned(model, layer=None):
+    """A copy of ``model`` with a NaN in layer ``layer``'s wq, or in w_out."""
+    w = np.array(model.layers[layer].wq.weight if layer is not None
+                 else model.w_out.weight)
+    w[0, 0] = np.nan
+    if layer is None:
+        return replace(model, w_out=LinearWeight(w))
+    layers = list(model.layers)
+    layers[layer] = replace(layers[layer], wq=LinearWeight(w))
+    return replace(model, layers=layers)
+
+
+@pytest.mark.parametrize("layer", [1, None], ids=["wq-layer1", "w_out"])
+def test_failed_forward_leaves_cache_usable(model, layer):
+    cache = KvCache.empty(CFG)
+    forward(model, cache, [1, 2, 3])
+    with pytest.raises(CodecError):
+        forward(_poisoned(model, layer), cache, [4, 5])
+    assert cache.length == 3
+    want = forward(model, KvCache.empty(CFG), [1, 2, 3, 6, 7])[3:]
+    assert forward(model, cache, [6, 7]).tobytes() == want.tobytes()
 
 
 class TestGreedyNext:
