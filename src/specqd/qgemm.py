@@ -220,7 +220,7 @@ def _exponents(x: np.ndarray) -> np.ndarray:
     if a row holds a non-finite value."""
     absmax = np.abs(x).max(axis=1)
     if not np.isfinite(absmax).all():
-        raise CodecError("gemm_reference requires finite operands")
+        raise CodecError("exact slice products require finite operands")
     return np.frexp(absmax)[1]
 
 
@@ -234,7 +234,8 @@ def _split(x: np.ndarray, exps: np.ndarray, bits: int, count: int) -> np.ndarray
     for s in range(count):
         np.trunc(rest, out=out[s])
         if s + 1 < count:
-            rest = np.ldexp(rest - out[s], bits)
+            rest -= out[s]
+            rest *= 2.0 ** bits
     return out
 
 

@@ -23,6 +23,7 @@ from .tinylm import (
     ContextOverflow,
     KvCache,
     TinyLmModel,
+    TokenRangeError,
     forward,
     greedy_next,
     rollback,
@@ -235,12 +236,26 @@ def build_sessions(tree: SpecTree) -> _Session:
     return child
 
 
-def greedy_generate(model: TinyLmModel, prompt, max_new: int,
-                    eos: int | None = None) -> GenerationResult:
-    """Plain auto-regressive argmax decoding; the losslessness reference."""
+def _checked_request(model: TinyLmModel, prompt, max_new: int,
+                     eos: int | None) -> list[int]:
+    """The prompt as a list; ``ValueError`` for an empty prompt or a
+    negative ``max_new``, ``TokenRangeError`` for an ``eos`` the model
+    cannot emit."""
     prompt = list(prompt)
     if not prompt:
         raise ValueError("prompt must be non-empty")
+    if max_new < 0:
+        raise ValueError(f"max_new must be >= 0, got {max_new}")
+    vocab = model.config.vocab_size
+    if eos is not None and not 0 <= eos < vocab:
+        raise TokenRangeError(f"eos token id {eos} outside [0, {vocab})")
+    return prompt
+
+
+def greedy_generate(model: TinyLmModel, prompt, max_new: int,
+                    eos: int | None = None) -> GenerationResult:
+    """Plain auto-regressive argmax decoding; the losslessness reference."""
+    prompt = _checked_request(model, prompt, max_new, eos)
     t0 = time.perf_counter()
     cache = KvCache.empty(model.config)
     out: list[int] = []
@@ -266,9 +281,7 @@ def speculative_generate(tree: SpecTree, prompt, max_new: int,
 
     A depth-0 tree degenerates to greedy decoding of the target.
     """
-    prompt = list(prompt)
-    if not prompt:
-        raise ValueError("prompt must be non-empty")
+    prompt = _checked_request(tree.target, prompt, max_new, eos)
     t0 = time.perf_counter()
     stats = AcceptanceStats()
     rounds: list[RoundRecord] = []

@@ -5,9 +5,12 @@ linear layer routes through the qgemm kernels, so swapping a model's linear
 weights for their MXFP4 direct cast is a one-call transformation and the
 quantized model exercises exactly the late-scaling / int8 paths.
 
-Forward passes are bit-deterministic: per-position reductions are computed
-in a fixed sequential order, so processing a batch of new positions equals
-processing them one at a time, token for token and bit for bit.
+Forward passes are bit-deterministic: every reduction for a position is
+either exact on BLAS (the float GEMM and attention, see ``_attention``)
+or taken in a fixed order over that position's own data (layer norm, the
+MXFP4 GEMMs' cross-block sums). So processing a batch of new positions
+equals processing them one at a time, token for token and bit for bit,
+at any thread count.
 """
 
 from __future__ import annotations
@@ -164,20 +167,27 @@ class KvCache:
     """One session's keys, values and tokens in buffers preallocated for
     the model's whole context; the first ``length`` positions are valid.
 
-    keys and values have shape (n_layers, max_seq_len, n_heads, d_head),
-    tokens (max_seq_len,).
+    Each (position, head) row of a key or value is held as the two
+    ``qgemm.W_SLICE_BITS``-bit slices that ``_attention`` multiplies
+    exactly, cut once, when ``forward`` writes the position. keys and
+    values have shape (n_layers, n_heads, max_seq_len, 2, d_head):
+    slice 0 then slice 1 of each row. A key row is the sum of its two
+    slices. A value row is ``value_scales`` (n_layers, n_heads,
+    max_seq_len), the power of two just above its largest magnitude,
+    times the sum of its slices. tokens has shape (max_seq_len,).
     """
 
     keys: np.ndarray
     values: np.ndarray
+    value_scales: np.ndarray
     tokens: np.ndarray
     length: int = 0
 
     @classmethod
     def empty(cls, config: LmConfig) -> "KvCache":
-        shape = (config.n_layers, config.max_seq_len, config.n_heads,
-                 config.d_model // config.n_heads)
-        return cls(np.zeros(shape), np.zeros(shape),
+        shape = (config.n_layers, config.n_heads, config.max_seq_len,
+                 qgemm.W_SLICES, config.d_model // config.n_heads)
+        return cls(np.zeros(shape), np.zeros(shape), np.ones(shape[:3]),
                    np.zeros(config.max_seq_len, dtype=np.int64))
 
 
@@ -262,39 +272,124 @@ def _softmax_row(row):
     return e / qgemm.fold_sum(e)
 
 
-# Product elements per attention chunk of new positions; bounds the
-# (positions, heads, keys, d_head) temporaries of a long prefill to 1 MiB.
-ATTN_CHUNK = 1 << 17
+# Product elements per block of query positions in ``_attention``; bounds
+# the (slices, heads, positions, keys) temporaries of a long prefill.
+ATTN_BLOCK = 1 << 17
+
+# Scales of a key or value row's slices relative to its 2^e: 2^-26, 2^-52.
+_W_STEPS = np.exp2(-qgemm.W_SLICE_BITS * np.arange(1.0, qgemm.W_SLICES + 1))[:, None, None]
+# Slice s of a query row (s = 1, 2, 3) sits s * b bits below its 2^e.
+_A_SLICE = np.arange(1.0, qgemm.A_SLICES + 1)[:, None, None]
 
 
-def _attention(q, keys, vals, start):
-    """Causal attention of new positions ``start + i`` over the cache.
+def _slice_scores(q_parts, keys):
+    """Scores (heads, rows, keys) of query slices (A_SLICES, heads, rows,
+    d_head) against key slices (heads, keys, W_SLICES, d_head)."""
+    heads, _, _, d_head = keys.shape
+    prod = np.matmul(q_parts, keys.reshape(heads, -1, d_head).transpose(0, 2, 1))
+    by_k = np.add(prod[..., 0::2], prod[..., 1::2], out=prod[..., 0::2])
+    scores = by_k[0] + by_k[1]
+    scores += by_k[2]
+    return scores
 
-    q has shape (n, heads, d_head); keys and vals (start + n, heads, d_head).
-    A chunk of positions reduces over the keys its last position sees: a
-    key past a position scores -inf, so exp gives it an exact +0.0, and its
-    context product is set to -0.0, which leaves any float unchanged when
-    added. A fold_sum tree padded with such trailing identities gives the
-    bits of the unpadded tree, so a position's output does not depend on
-    how many positions arrive with it.
+
+def _slice_context(p, values, bits: int):
+    """(out, e): the weights p (heads * rows, keys) times the value slices
+    (heads, keys, W_SLICES, d_head), exactly up to p's slicing, as out
+    (heads, rows, d_head) in units of 2^(e - bits), e each row's exponent."""
+    heads, n_keys, _, d_head = values.shape
+    exps = qgemm._exponents(p)
+    parts = qgemm._split(p, exps[:, None], bits, qgemm.A_SLICES)
+    prod = np.matmul(parts.reshape(qgemm.A_SLICES, heads, -1, n_keys),
+                     values.reshape(heads, n_keys, -1))
+    by_v = prod[..., :d_head] + prod[..., d_head:]
+    by_v[1] *= 2.0 ** -bits
+    by_v[2] *= 2.0 ** (-2 * bits)
+    out = by_v[0] + by_v[1]
+    out += by_v[2]
+    return out, exps
+
+
+def _attention(q, k, v, cache: KvCache, li: int, start: int):
+    """Causal attention of new positions ``start + i``: writes their keys
+    and values to layer ``li`` of the cache, then attends over the cache.
+
+    q, k and v have shape (n, heads, d_head); the result too. Every
+    (position, head) row of q / sqrt(d_head), k and v gets its own
+    power-of-two exponent (``qgemm._exponents``), and both reductions are
+    exact slice products on BLAS, as in ``qgemm.gemm_reference``
+    (``qgemm._split``):
+
+    * Scores: a key row is stored as two 26-bit slices, a query row is
+      cut into A_SLICES slices of b = 53 - 26 - ceil(log2 d_head) bits.
+      Each slice dot product is an integer below 2^53 times a power of
+      two, exact in any order; the six are summed in a fixed order.
+    * Softmax: p = exp(s - max s), +0.0 for a key past the position. Its
+      normaliser is the exact sum of p on a grid of 2^-g, g = 53 -
+      ceil(log2 max_seq_len), taken in two slices.
+    * Context: a value row is stored as two 26-bit slices and its 2^e
+      (``value_scales``), which is folded into p exactly. Each query row
+      of p is cut into A_SLICES slices of c = 53 - 26 -
+      ceil(log2 max_seq_len) bits, so a dot product over up to
+      max_seq_len keys is exact again. A zero result is +0.0.
+
+    Every rounded step is elementwise on one position's row over the
+    keys it sees: a masked key adds exact zeros to exact sums and moves
+    no exponent, and the widths depend on d_head and max_seq_len, never
+    on the number of keys. So a position's bits depend neither on the
+    positions computed with it nor on how the causal blocks of
+    ``ATTN_BLOCK`` product elements, each reducing over the keys up to
+    its last position, fall.
+
+    For operands and results in float64's normal range, let L be the
+    keys position i sees, K and V the largest |k| and |v| over them, and
+    delta = sqrt(d_head) * max|q_i| * K * (2^(1 - 3b) + 2^-48) the bound
+    on a score's error. Against exact attention, position i's error is
+    below V * (2.01 * delta + L * (2^(2 - 3c) + 2^-49)). Raises
+    ``CodecError`` for a non-finite q, k or v, before writing the cache.
     """
     n, heads, d_head = q.shape
-    inv_sqrt = 1.0 / np.sqrt(d_head)
-    k_t = keys.transpose(1, 0, 2)[None]  # (1, heads, keys, d_head)
-    v_t = vals.transpose(1, 0, 2)[None]
-    ctx = np.empty_like(q)
-    step = max(1, ATTN_CHUNK // (heads * keys.shape[0] * d_head))
+    nh, end = n * heads, start + n
+    rows = np.concatenate((q * (1.0 / np.sqrt(d_head)), k, v)).reshape(-1, d_head)
+    exps = qgemm._exponents(rows)
+    # Key slices sum to the key, value slices to the value over its 2^e.
+    kv = qgemm._split(rows[nh:], exps[nh:, None], qgemm.W_SLICE_BITS, qgemm.W_SLICES)
+    np.multiply(kv[:, :nh], np.ldexp(_W_STEPS, exps[nh:2 * nh, None]), out=kv[:, :nh])
+    np.multiply(kv[:, nh:], _W_STEPS, out=kv[:, nh:])
+    kv = kv.reshape(qgemm.W_SLICES, 2, n, heads, d_head).transpose(1, 3, 2, 0, 4)
+    cache.keys[li, :, start:end] = kv[0]
+    cache.values[li, :, start:end] = kv[1]
+    cache.value_scales[li, :, start:end] = np.ldexp(1.0, exps[2 * nh:]).reshape(n, heads).T
+    # Query slices sum to the row.
+    bits = 53 - qgemm.W_SLICE_BITS - (d_head - 1).bit_length()
+    q_parts = qgemm._split(rows[:nh], exps[:nh, None], bits, qgemm.A_SLICES)
+    q_parts *= np.ldexp(np.exp2(-bits * _A_SLICE), exps[:nh, None])
+    q_parts = q_parts.reshape(qgemm.A_SLICES, n, heads, d_head).transpose(0, 2, 1, 3)
+
+    log_seq = (cache.keys.shape[2] - 1).bit_length()
+    p_bits, z_bits = 53 - qgemm.W_SLICE_BITS - log_seq, 53 - log_seq
+    ctx = np.empty((n, heads, d_head))
+    step = max(1, ATTN_BLOCK // (qgemm.A_SLICES * qgemm.W_SLICES * heads * end))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        kv = start + hi
-        # (positions, 1, keys): True where the key lies past the position.
-        future = (np.arange(kv) > np.arange(start + lo, kv)[:, None])[:, None]
-        scores = qgemm.fold_sum(q[lo:hi, :, None] * k_t[:, :, :kv], axis=-1)
-        scores = np.where(future, -np.inf, scores * inv_sqrt)
-        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-        prod = (e / qgemm.fold_sum(e, axis=-1)[..., None])[..., None] * v_t[:, :, :kv]
-        np.copyto(prod, -0.0, where=future[..., None])
-        ctx[lo:hi] = qgemm.fold_sum(prod, axis=2)
+        rows_b, n_keys = hi - lo, start + hi
+        scores = _slice_scores(q_parts[:, :, lo:hi], cache.keys[li, :, :n_keys])
+        if rows_b > 1:  # the block's own last keys lie past its first positions
+            future = np.arange(rows_b) > np.arange(rows_b)[:, None]
+            np.copyto(scores[..., -rows_b:], -np.inf, where=future)
+        scores -= scores.max(axis=-1, keepdims=True)
+        p = np.exp(scores, out=scores)  # (heads, rows, keys)
+        # The normaliser in units of 2^-z_bits, from two exact sums.
+        z = qgemm._split(p.reshape(-1, n_keys), 0, z_bits, 2).sum(axis=-1)
+        z = z[0] + z[1] * 2.0 ** -z_bits
+        p *= cache.value_scales[li, :, None, :n_keys]
+        out, p_exps = _slice_context(p.reshape(-1, n_keys),
+                                     cache.values[li, :, :n_keys], p_bits)
+        # Scale out by 2^(e - p_bits) over the normaliser; adding +0.0 makes
+        # a zero +0.0 whichever sign BLAS gave it.
+        z = np.ldexp(z, p_bits - z_bits - p_exps).reshape(heads, rows_b, 1)
+        np.divide(out, z, out=out)
+        np.add(out, 0.0, out=ctx[lo:hi].transpose(1, 0, 2))
     return ctx
 
 
@@ -336,9 +431,7 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
             lw.apply(h, model.gemm_path, operands).reshape(n, cfg.n_heads, d_head)
             for lw in (layer.wq, layer.wk, layer.wv)
         )
-        cache.keys[li, start:end] = k
-        cache.values[li, start:end] = v
-        ctx = _attention(q, cache.keys[li, :end], cache.values[li, :end], start)
+        ctx = _attention(q, k, v, cache, li, start)
         attn = layer.wo.apply(ctx.reshape(n, cfg.d_model), model.gemm_path)
         x = x + attn
 

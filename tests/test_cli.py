@@ -156,6 +156,22 @@ class TestGenerate:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["geomean_speedup"] is None
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--max-new", "-3"], "error: max_new must be >= 0, got -3"),
+        (["--eos", "999"], "error: eos token id 999 outside [0, 256)"),
+        (["--eos", "-1"], "error: eos token id -1 outside [0, 256)"),
+    ])
+    def test_bad_request_is_an_error(self, models, tmp_path, capsys, flags,
+                                     message):
+        target, draft, prompts = models
+        capsys.readouterr()
+        rc = main(["generate", "--target", str(target), "--draft", str(draft),
+                   "--prompts", str(prompts), "--out", str(tmp_path / "o")]
+                  + flags)
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
+
     def test_empty_prompts_error(self, models, tmp_path, capsys):
         target, _, _ = models
         empty = tmp_path / "empty.txt"

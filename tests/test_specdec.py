@@ -94,6 +94,33 @@ class TestGreedy:
         assert res.truncated and len(res.tokens) < CFG.max_seq_len + 50
 
 
+class TestRequestChecks:
+    @pytest.fixture()
+    def generators(self, target, mx_draft):
+        tree = two_level(target, mx_draft)
+        return {
+            "greedy": lambda **kw: greedy_generate(target, [5], **kw),
+            "speculative": lambda **kw: speculative_generate(tree, [5], **kw),
+        }
+
+    @pytest.mark.parametrize("kind", ["greedy", "speculative"])
+    def test_negative_max_new_rejected(self, generators, kind):
+        with pytest.raises(ValueError, match="max_new"):
+            generators[kind](max_new=-3)
+
+    @pytest.mark.parametrize("kind", ["greedy", "speculative"])
+    @pytest.mark.parametrize("eos", [-1, CFG.vocab_size, 999])
+    def test_eos_outside_vocab_rejected(self, generators, kind, eos):
+        with pytest.raises(TokenRangeError, match=f"eos token id {eos} outside"):
+            generators[kind](max_new=4, eos=eos)
+
+    @pytest.mark.parametrize("kind", ["greedy", "speculative"])
+    def test_zero_max_new_and_edge_eos_accepted(self, generators, kind):
+        assert generators[kind](max_new=0).tokens == []
+        for eos in (0, CFG.vocab_size - 1):
+            assert len(generators[kind](max_new=3, eos=eos).tokens) <= 3
+
+
 class TestLossless:
     @pytest.mark.parametrize("threshold", [0.0, 0.4, 0.65, 1.0])
     def test_two_level_matches_greedy(self, target, mx_draft, threshold):
