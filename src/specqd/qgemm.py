@@ -215,27 +215,33 @@ class FloatWeight:
         return values if dtype is None else values.astype(dtype, copy=False)
 
 
-def _exponents(x: np.ndarray) -> np.ndarray:
+def _exponents(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Per-row e with max|row| < 2^e (0 for a zero row); ``CodecError``
-    if a row holds a non-finite value."""
-    absmax = np.abs(x).max(axis=1)
+    if a row holds a non-finite value. |x| goes to ``work`` (x's shape)
+    when given."""
+    absmax = np.abs(x, out=work).max(axis=1)
     if not np.isfinite(absmax).all():
         raise CodecError("exact slice products require finite operands")
     return np.frexp(absmax)[1]
 
 
-def _split(x: np.ndarray, exps: np.ndarray, bits: int, count: int) -> np.ndarray:
+def _split(x: np.ndarray, exps: np.ndarray, bits: int, count: int,
+           out: np.ndarray | None = None) -> np.ndarray:
     """``count`` integer-valued slices of ``bits`` bits each, so that
     x = sum_s out[s] * 2^(exps - bits * (s + 1)) plus a remainder below
     2^(exps - bits * count). Each step is exact: scaling by a power of two,
-    truncating, and subtracting the truncation."""
-    out = np.empty((count,) + x.shape)
-    rest = np.ldexp(x, bits - exps)
-    for s in range(count):
+    truncating, and subtracting the truncation. The slices go to ``out``
+    (shape (count,) + x.shape) when given, whose last slice also holds the
+    remainder as it shrinks, so no other array is allocated; that slice
+    may be x itself."""
+    if out is None:
+        out = np.empty((count,) + x.shape)
+    rest = np.ldexp(x, bits - exps, out=out[-1])
+    for s in range(count - 1):
         np.trunc(rest, out=out[s])
-        if s + 1 < count:
-            rest -= out[s]
-            rest *= 2.0 ** bits
+        rest -= out[s]
+        rest *= 2.0 ** bits
+    np.trunc(rest, out=rest)
     return out
 
 

@@ -15,6 +15,7 @@ at any thread count.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -279,27 +280,29 @@ ATTN_BLOCK = 1 << 17
 # Scales of a key or value row's slices relative to its 2^e: 2^-26, 2^-52.
 _W_STEPS = np.exp2(-qgemm.W_SLICE_BITS * np.arange(1.0, qgemm.W_SLICES + 1))[:, None, None]
 # Slice s of a query row (s = 1, 2, 3) sits s * b bits below its 2^e.
-_A_SLICE = np.arange(1.0, qgemm.A_SLICES + 1)[:, None, None]
+_A_SLICE = np.arange(1.0, qgemm.A_SLICES + 1)[:, None, None, None]
 
 
-def _slice_scores(q_parts, keys):
+def _slice_scores(q_parts, keys, prod, scores):
     """Scores (heads, rows, keys) of query slices (A_SLICES, heads, rows,
-    d_head) against key slices (heads, keys, W_SLICES, d_head)."""
+    d_head) against key slices (heads, keys, W_SLICES, d_head), written to
+    ``scores`` by way of ``prod`` (A_SLICES, heads, rows, W_SLICES * keys)."""
     heads, _, _, d_head = keys.shape
-    prod = np.matmul(q_parts, keys.reshape(heads, -1, d_head).transpose(0, 2, 1))
+    np.matmul(q_parts, keys.reshape(heads, -1, d_head).transpose(0, 2, 1), out=prod)
     by_k = np.add(prod[..., 0::2], prod[..., 1::2], out=prod[..., 0::2])
-    scores = by_k[0] + by_k[1]
+    np.add(by_k[0], by_k[1], out=scores)
     scores += by_k[2]
     return scores
 
 
-def _slice_context(p, values, bits: int):
+def _slice_context(p, values, bits: int, parts):
     """(out, e): the weights p (heads * rows, keys) times the value slices
     (heads, keys, W_SLICES, d_head), exactly up to p's slicing, as out
-    (heads, rows, d_head) in units of 2^(e - bits), e each row's exponent."""
+    (heads, rows, d_head) in units of 2^(e - bits), e each row's exponent.
+    p's slices are cut into ``parts`` (A_SLICES, heads * rows, keys)."""
     heads, n_keys, _, d_head = values.shape
-    exps = qgemm._exponents(p)
-    parts = qgemm._split(p, exps[:, None], bits, qgemm.A_SLICES)
+    exps = np.frexp(p.max(axis=1))[1]  # p is finite and never negative
+    parts = qgemm._split(p, exps[:, None], bits, qgemm.A_SLICES, out=parts)
     prod = np.matmul(parts.reshape(qgemm.A_SLICES, heads, -1, n_keys),
                      values.reshape(heads, n_keys, -1))
     by_v = prod[..., :d_head] + prod[..., d_head:]
@@ -349,42 +352,67 @@ def _attention(q, k, v, cache: KvCache, li: int, start: int):
     ``CodecError`` for a non-finite q, k or v, before writing the cache.
     """
     n, heads, d_head = q.shape
-    nh, end = n * heads, start + n
-    rows = np.concatenate((q * (1.0 / np.sqrt(d_head)), k, v)).reshape(-1, d_head)
-    exps = qgemm._exponents(rows)
+    nhd, end = n * heads * d_head, start + n
+    n_prod = qgemm.A_SLICES * qgemm.W_SLICES * heads
+    step = max(1, ATTN_BLOCK // (n_prod * end))
+    q_size = qgemm.A_SLICES * min(n, step) * heads * d_head
+    # One buffer holds every large temporary of the call, so a long prefill
+    # allocates once, not per block. The rows of q / sqrt(d_head), k and v
+    # lead it, and |rows| follows them. The rows of k and v become their
+    # own last slices, in place, with the first slices behind them. Once
+    # those are in the cache, only the query rows stay, and the blocks use
+    # the space behind them.
+    work = np.empty(max(6 * nhd, nhd + q_size + (n_prod + heads) * min(n, step) * end))
+    rows = work[:3 * nhd].reshape(3, n, heads, d_head)
+    np.multiply(q, 1.0 / math.sqrt(d_head), out=rows[0])
+    rows[1], rows[2] = k, v
+    rows = rows.reshape(3 * n * heads, d_head)
+    exps = qgemm._exponents(rows, work[3 * nhd:6 * nhd].reshape(-1, d_head))
     # Key slices sum to the key, value slices to the value over its 2^e.
-    kv = qgemm._split(rows[nh:], exps[nh:, None], qgemm.W_SLICE_BITS, qgemm.W_SLICES)
+    nh = n * heads
+    kv = qgemm._split(rows[nh:], exps[nh:, None], qgemm.W_SLICE_BITS, qgemm.W_SLICES,
+                      out=work[nhd:5 * nhd].reshape(qgemm.W_SLICES, 2 * nh, d_head)[::-1])
     np.multiply(kv[:, :nh], np.ldexp(_W_STEPS, exps[nh:2 * nh, None]), out=kv[:, :nh])
     np.multiply(kv[:, nh:], _W_STEPS, out=kv[:, nh:])
     kv = kv.reshape(qgemm.W_SLICES, 2, n, heads, d_head).transpose(1, 3, 2, 0, 4)
     cache.keys[li, :, start:end] = kv[0]
     cache.values[li, :, start:end] = kv[1]
     cache.value_scales[li, :, start:end] = np.ldexp(1.0, exps[2 * nh:]).reshape(n, heads).T
-    # Query slices sum to the row.
+    rows, exps = rows[:nh].reshape(n, heads, d_head), exps[:nh].reshape(n, heads, 1)
+    # Query slices sum to the row; each block cuts its own rows.
     bits = 53 - qgemm.W_SLICE_BITS - (d_head - 1).bit_length()
-    q_parts = qgemm._split(rows[:nh], exps[:nh, None], bits, qgemm.A_SLICES)
-    q_parts *= np.ldexp(np.exp2(-bits * _A_SLICE), exps[:nh, None])
-    q_parts = q_parts.reshape(qgemm.A_SLICES, n, heads, d_head).transpose(0, 2, 1, 3)
+    q_steps = np.exp2(-bits * _A_SLICE)
 
     log_seq = (cache.keys.shape[2] - 1).bit_length()
     p_bits, z_bits = 53 - qgemm.W_SLICE_BITS - log_seq, 53 - log_seq
+    work = work[nhd:]
     ctx = np.empty((n, heads, d_head))
-    step = max(1, ATTN_BLOCK // (qgemm.A_SLICES * qgemm.W_SLICES * heads * end))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         rows_b, n_keys = hi - lo, start + hi
-        scores = _slice_scores(q_parts[:, :, lo:hi], cache.keys[li, :, :n_keys])
+        q_parts = qgemm._split(
+            rows[lo:hi], exps[lo:hi], bits, qgemm.A_SLICES,
+            out=work[:q_size].reshape(qgemm.A_SLICES, -1, heads, d_head)[:, :rows_b])
+        q_parts *= np.ldexp(q_steps, exps[lo:hi])
+        # The block's slice products, then the normaliser's and p's slices,
+        # share the buffer behind the query slices; the scores and p follow.
+        size = heads * rows_b * n_keys
+        front = work[q_size:q_size + n_prod * rows_b * n_keys].reshape(-1, heads * rows_b, n_keys)
+        scores = work[q_size + front.size:q_size + front.size + size].reshape(
+            heads, rows_b, n_keys)
+        _slice_scores(q_parts.transpose(0, 2, 1, 3), cache.keys[li, :, :n_keys],
+                      front.reshape(qgemm.A_SLICES, heads, rows_b, -1), scores)
         if rows_b > 1:  # the block's own last keys lie past its first positions
             future = np.arange(rows_b) > np.arange(rows_b)[:, None]
             np.copyto(scores[..., -rows_b:], -np.inf, where=future)
         scores -= scores.max(axis=-1, keepdims=True)
         p = np.exp(scores, out=scores)  # (heads, rows, keys)
         # The normaliser in units of 2^-z_bits, from two exact sums.
-        z = qgemm._split(p.reshape(-1, n_keys), 0, z_bits, 2).sum(axis=-1)
+        z = qgemm._split(p.reshape(-1, n_keys), 0, z_bits, 2, out=front[:2]).sum(axis=-1)
         z = z[0] + z[1] * 2.0 ** -z_bits
         p *= cache.value_scales[li, :, None, :n_keys]
-        out, p_exps = _slice_context(p.reshape(-1, n_keys),
-                                     cache.values[li, :, :n_keys], p_bits)
+        out, p_exps = _slice_context(p.reshape(-1, n_keys), cache.values[li, :, :n_keys],
+                                     p_bits, front[:qgemm.A_SLICES])
         # Scale out by 2^(e - p_bits) over the normaliser; adding +0.0 makes
         # a zero +0.0 whichever sign BLAS gave it.
         z = np.ldexp(z, p_bits - z_bits - p_exps).reshape(heads, rows_b, 1)

@@ -305,8 +305,8 @@ class TestAttention:
         # gives a zero dot product.
         matmul = np.matmul
 
-        def signed_matmul(a, b):
-            out = matmul(a, b)
+        def signed_matmul(a, b, out=None):
+            out = matmul(a, b, out=out)
             out[out == 0] = blas_zero
             return out
 
