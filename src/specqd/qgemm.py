@@ -23,16 +23,17 @@ summation order BLAS picks gives the same bits. Only the cross-block sum
 of scaled partials is rounded, and ``fold_sum`` does it in a fixed order.
 
 ``gemm_reference`` is exact the same way, after an Ozaki-style error-free
-split (Ozaki et al. 2012, Numer. Algorithms 59). A ``FloatWeight`` stores
-each row as two integer-valued float64 slices of 26 bits under one
-power-of-two row exponent, built on first use; the slices replace the
-float64 values whenever they rebuild them exactly, which every
-float32-valued row with at most 28 bits of dynamic range does. Each call
-splits every activation column into three slices of 53 - 26 - ceil(log2 K)
-bits under one column exponent. A slice dot product is then an integer
-below 2^53, so one float64 BLAS matmul per 64 columns gives all six slice
-products exactly, whatever order or thread count BLAS uses. Only the sum
-of the six scaled products is rounded, in a fixed order.
+split (Ozaki et al. 2012, Numer. Algorithms 59) that attention in
+``tinylm`` shares. ``row_slices`` cuts each weight row into two slices of
+26 bits and each activation column into three of 53 - 26 - ceil(log2 K)
+bits (``slice_bits``), each slice an integer times a power of two set by
+its row's magnitude. A slice dot product is then an integer below 2^53
+times one power of two, so one float64 BLAS matmul gives all six slice
+products exactly, whatever order or thread count BLAS uses. Only their
+sum is rounded, in a fixed order (``slice_matmul``). A ``FloatWeight``
+keeps its slices instead of its values whenever they rebuild them
+exactly, which every float32-valued row with at most 28 bits of dynamic
+range does.
 
 So every path's result for a column depends only on that column: it is
 independent of N-batching and of the thread count. The MXFP4 paths take
@@ -46,7 +47,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,10 +66,9 @@ INT_PARTIAL_BOUND = 48_768
 # (blocks, rows, columns) temporaries for long prefills.
 COL_CHUNK = 16
 
-# The reference kernel's slicing: W_SLICES weight slices of W_SLICE_BITS
-# bits and A_SLICES activation slices, so a product of one weight slice and
-# one activation slice leaves ceil(log2 K) bits of headroom below 2^53.
-# ``_join`` and the kernel's final sum are written out for 2 and 3 slices.
+# The exact-slice format: W_SLICES weight slices of W_SLICE_BITS bits and
+# A_SLICES activation slices of ``slice_bits(K)`` bits. ``FloatWeight`` and
+# ``slice_matmul`` write their sums out for 2 and 3 slices.
 W_SLICES = 2
 W_SLICE_BITS = 26
 A_SLICES = 3
@@ -169,12 +169,12 @@ class FloatWeight:
     """A float weight held as the reference GEMM's exact-slice operand.
 
     ``values`` holds the (M, K) matrix until the first GEMM reads
-    ``slices``, which splits every row into ``W_SLICES`` integer-valued
-    float64 slices of ``W_SLICE_BITS`` bits under one power-of-two row
-    exponent. If the slices rebuild every value bit for bit, ``values``
-    becomes None, so a model keeps one copy of its weights, not two. That
-    holds for every float32-valued row whose dynamic range is at most
-    52 - 24 = 28 bits. ``np.asarray`` gives the values either way.
+    ``slices``, which cuts every row into ``W_SLICES`` slices of
+    ``W_SLICE_BITS`` bits (``row_slices``). If the slices rebuild every
+    value bit for bit, ``values`` becomes None, so a model keeps one copy
+    of its weights, not two. That holds for every float32-valued row whose
+    dynamic range is at most 52 - 24 = 28 bits. ``np.asarray`` gives the
+    values either way.
     """
 
     def __init__(self, values):
@@ -185,55 +185,58 @@ class FloatWeight:
         self.values = values
 
     @cached_property
-    def slices(self):
-        """(slices of shape (K, W_SLICES * M), scales of shape (W_SLICES, M)).
-
-        Column s * M + i holds slice s of row i, and that row is
-        sum_s slice_s * scales[s, i] up to a remainder below 2^-51 times
-        its largest magnitude. ``CodecError`` for a non-finite value.
-        """
+    def slices(self) -> np.ndarray:
+        """Shape (K, M * W_SLICES): column i * W_SLICES + s holds slice s
+        of row i (``row_slices``). ``CodecError`` for a non-finite value."""
         values = self.values
-        exps = _exponents(values)
-        parts = _split(values, exps[:, None], W_SLICE_BITS, W_SLICES)
+        parts = row_slices(values, W_SLICE_BITS, W_SLICES)
         # So that a -0.0 weight rebuilds as -0.0.
         np.copysign(parts[-1], values, out=parts[-1])
-        steps = W_SLICE_BITS * np.arange(1, W_SLICES + 1)[:, None]
-        scales = np.ldexp(1.0, exps - steps)
-        rebuilt = _join(parts, scales)
+        rebuilt = parts[0] + parts[1]
         if (np.array_equal(rebuilt, values)
                 and np.array_equal(np.signbit(rebuilt), np.signbit(values))):
             self.values = None
-        return np.ascontiguousarray(parts.reshape(-1, self.shape[1]).T), scales
+        return np.ascontiguousarray(parts.transpose(2, 1, 0)).reshape(self.shape[1], -1)
 
     def __array__(self, dtype=None, copy=None):
         values = self.values
         if values is None:
-            parts, scales = self.slices
-            values = _join(parts.T.reshape(W_SLICES, *self.shape), scales)
+            parts = self.slices.T.reshape(self.shape[0], W_SLICES, -1)
+            values = np.add(parts[:, 0], parts[:, 1], out=np.empty(self.shape))
         elif copy:
             values = values.copy()
         return values if dtype is None else values.astype(dtype, copy=False)
 
 
-def _exponents(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """Per-row e with max|row| < 2^e (0 for a zero row); ``CodecError``
-    if a row holds a non-finite value. |x| goes to ``work`` (x's shape)
-    when given."""
-    absmax = np.abs(x, out=work).max(axis=1)
+def slice_bits(k: int, w_bits: int = W_SLICE_BITS) -> int:
+    """The activation-slice width for dot products of length k: k products
+    of such a slice and a slice of ``w_bits`` bits sum exactly in float64,
+    in any order. With ``w_bits`` = 0, k values in [0, 1] do."""
+    return 53 - w_bits - (k - 1).bit_length()
+
+
+def row_exponents(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Per-row e with max|row| < 2^e over x's last axis (0 for a zero
+    row), shape x.shape[:-1] + (1,). ``CodecError`` if a row holds a
+    non-finite value. |x| goes to ``work`` (x's shape) when given."""
+    absmax = np.abs(x, out=work).max(axis=-1, keepdims=True)
     if not np.isfinite(absmax).all():
         raise CodecError("exact slice products require finite operands")
     return np.frexp(absmax)[1]
 
 
-def _split(x: np.ndarray, exps: np.ndarray, bits: int, count: int,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """``count`` integer-valued slices of ``bits`` bits each, so that
-    x = sum_s out[s] * 2^(exps - bits * (s + 1)) plus a remainder below
-    2^(exps - bits * count). Each step is exact: scaling by a power of two,
-    truncating, and subtracting the truncation. The slices go to ``out``
-    (shape (count,) + x.shape) when given, whose last slice also holds the
-    remainder as it shrinks, so no other array is allocated; that slice
-    may be x itself."""
+def row_slices(x: np.ndarray, bits: int, count: int, out: np.ndarray | None = None,
+               exps=None, work: np.ndarray | None = None) -> np.ndarray:
+    """``count`` slices of every row of x (its last axis): slice s is an
+    integer of ``bits`` bits times 2^(e - bits * (s + 1)), for e the row's
+    ``exps`` (``row_exponents(x, work)`` unless given), and the slices sum
+    to the row up to a remainder below 2^(e - bits * count). Each step is
+    exact in float64's normal range. The slices go to ``out`` (shape
+    (count,) + x.shape) when given, whose last slice also holds the
+    remainder as it shrinks, so no other array of x's size is allocated;
+    that slice may be x itself."""
+    if exps is None:
+        exps = row_exponents(x, work)
     if out is None:
         out = np.empty((count,) + x.shape)
     rest = np.ldexp(x, bits - exps, out=out[-1])
@@ -242,29 +245,51 @@ def _split(x: np.ndarray, exps: np.ndarray, bits: int, count: int,
         rest -= out[s]
         rest *= 2.0 ** bits
     np.trunc(rest, out=rest)
+    out *= np.ldexp(_slice_steps(bits, count, x.ndim), exps)
     return out
 
 
-def _join(parts: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """The values that two weight slices and their row scales stand for."""
-    return parts[0] * scales[0][:, None] + parts[1] * scales[1][:, None]
+@lru_cache(maxsize=None)
+def _slice_steps(bits: int, count: int, ndim: int) -> np.ndarray:
+    """2^(-bits * (s + 1)) for slice s, to broadcast over ``ndim``-D rows."""
+    steps = np.exp2(-bits * np.arange(1.0, count + 1)).reshape((count,) + (1,) * ndim)
+    steps.flags.writeable = False  # shared by every caller
+    return steps
+
+
+def slice_matmul(a_parts: np.ndarray, w_parts: np.ndarray, out: np.ndarray | None = None,
+                 work: np.ndarray | None = None) -> np.ndarray:
+    """(..., N, M): activation slices (A_SLICES, ..., N, K) times weight
+    slices (..., K, M * W_SLICES), column i * W_SLICES + s holding slice s
+    of row i. One BLAS matmul, over every slice and column when the weight
+    is 2-D, gives the six slice products, exact when ``slice_bits`` set
+    the widths. They go to ``work`` (contiguous) when given, and are
+    summed over weight slices, then over activation slices, most
+    significant first, into ``out`` when given."""
+    shape = a_parts.shape[:-1] + w_parts.shape[-1:]
+    prod = np.empty(shape) if work is None else work.reshape(shape)
+    if w_parts.ndim == 2:
+        np.matmul(a_parts.reshape(-1, a_parts.shape[-1]), w_parts,
+                  out=prod.reshape(-1, shape[-1]))
+    else:
+        np.matmul(a_parts, w_parts, out=prod)
+    by_a = np.add(prod[..., 0::2], prod[..., 1::2], out=prod[..., 0::2])
+    out = np.add(by_a[0], by_a[1], out=out)
+    out += by_a[2]
+    return out
 
 
 def gemm_reference(w, a: np.ndarray, n_threads: int | None = None) -> np.ndarray:
     """Float GEMM (M x K) @ (K x N); the comparison baseline.
 
     ``w`` is a ``FloatWeight``, or any 2-D array, which becomes one for
-    this call. Each activation column is split into ``A_SLICES``
-    integer-valued slices of b = 53 - W_SLICE_BITS - ceil(log2 K) bits
-    under one power-of-two column exponent, so the dot product of a weight
-    slice and an activation slice is an integer below 2^53, exact in
-    float64 in whatever order BLAS sums it. One float64 matmul per
-    ``SLICE_COL_CHUNK`` columns gives all six slice products; they are
-    scaled by powers of two (exact) and summed in a fixed order. A
-    column's result therefore depends only on that column and the weight:
-    it is the same alone, inside any batch and at any BLAS thread count.
-    Against the exact product, for operands and results in float64's
-    normal range, the error is below
+    this call. Each activation column is cut into ``A_SLICES`` slices of
+    b = ``slice_bits(K)`` bits, and ``slice_matmul`` multiplies them with
+    the weight's slices ``SLICE_COL_CHUNK`` columns at a time, in one
+    workspace per call. A column's result therefore depends only on that
+    column and the weight: it is the same alone, inside any batch and at
+    any BLAS thread count. Against the exact product, for operands and
+    results in float64's normal range, the error is below
     K * max|w[i, :]| * max|a[:, j]| * (2^(1 - 3b) + 2^-49).
 
     ``n_threads`` is accepted and ignored: BLAS gives the parallelism.
@@ -278,24 +303,21 @@ def gemm_reference(w, a: np.ndarray, n_threads: int | None = None) -> np.ndarray
     (m, k), n = w.shape, a.shape[1]
     if min(m, k, n) == 0:
         return np.zeros((m, n))
-    w_parts, w_scales = w.slices
-    bits = 53 - W_SLICE_BITS - (k - 1).bit_length()
-    steps = np.exp2(-bits * np.arange(1, A_SLICES + 1))[:, None]
-    a_rows = np.ascontiguousarray(a.T)
-    a_exps = _exponents(a_rows)
+    w_parts = w.slices
+    bits = slice_bits(k)
+    chunk = min(n, SLICE_COL_CHUNK)
+    # A chunk's slices lead the workspace (its columns enter as the last
+    # slice's rows, their |values| as the first's); the products follow.
+    work = np.empty(A_SLICES * chunk * (k + w_parts.shape[1]))
     out = np.empty((m, n))
-    for j in range(0, n, SLICE_COL_CHUNK):
-        cols = slice(j, j + SLICE_COL_CHUNK)
-        e = a_exps[cols]
-        parts = _split(a_rows[cols], e[:, None], bits, A_SLICES)
-        # (activation slice, column, weight slice, row)
-        prod = (parts.reshape(-1, k) @ w_parts).reshape(A_SLICES, -1, W_SLICES, m)
-        prod *= np.ldexp(steps, e)[:, :, None, None]
-        prod *= w_scales
-        # Sum over weight slices, then over activation slices, most
-        # significant first.
-        by_a = prod[:, :, 0] + prod[:, :, 1]
-        out[:, cols] = ((by_a[0] + by_a[1]) + by_a[2]).T
+    for j in range(0, n, chunk):
+        cols = min(chunk, n - j)
+        size = A_SLICES * cols * k
+        parts = work[:size].reshape(A_SLICES, cols, k)
+        parts[-1] = a[:, j:j + cols].T
+        row_slices(parts[-1], bits, A_SLICES, out=parts, work=parts[0])
+        slice_matmul(parts, w_parts, out=out[:, j:j + cols].T,
+                     work=work[size:size + A_SLICES * cols * w_parts.shape[1]])
     return out
 
 

@@ -32,7 +32,6 @@ from .tinylm import (
 
 DEFAULT_SPEC_LEN = 8
 DEFAULT_THRESHOLD = 0.4
-STRINGENT_THRESHOLD = 0.65
 
 
 @dataclass

@@ -169,13 +169,14 @@ class KvCache:
     the model's whole context; the first ``length`` positions are valid.
 
     Each (position, head) row of a key or value is held as the two
-    ``qgemm.W_SLICE_BITS``-bit slices that ``_attention`` multiplies
-    exactly, cut once, when ``forward`` writes the position. keys and
-    values have shape (n_layers, n_heads, max_seq_len, 2, d_head):
-    slice 0 then slice 1 of each row. A key row is the sum of its two
-    slices. A value row is ``value_scales`` (n_layers, n_heads,
-    max_seq_len), the power of two just above its largest magnitude,
-    times the sum of its slices. tokens has shape (max_seq_len,).
+    ``qgemm.row_slices`` that ``_attention`` multiplies exactly, cut once,
+    when ``forward`` writes the position. keys (n_layers, n_heads,
+    max_seq_len, W_SLICES, d_head) holds slices of the key, values
+    (n_layers, n_heads, max_seq_len, d_head, W_SLICES) slices of the value
+    over its ``value_scales`` (n_layers, n_heads, max_seq_len) entry, the
+    power of two just above its largest magnitude. Either way a head's
+    slices are a ``qgemm.slice_matmul`` weight, one column per slice of an
+    element. tokens has shape (max_seq_len,).
     """
 
     keys: np.ndarray
@@ -186,9 +187,10 @@ class KvCache:
 
     @classmethod
     def empty(cls, config: LmConfig) -> "KvCache":
-        shape = (config.n_layers, config.n_heads, config.max_seq_len,
-                 qgemm.W_SLICES, config.d_model // config.n_heads)
-        return cls(np.zeros(shape), np.zeros(shape), np.ones(shape[:3]),
+        lead = (config.n_layers, config.n_heads, config.max_seq_len)
+        d_head = config.d_model // config.n_heads
+        return cls(np.zeros(lead + (qgemm.W_SLICES, d_head)),
+                   np.zeros(lead + (d_head, qgemm.W_SLICES)), np.ones(lead),
                    np.zeros(config.max_seq_len, dtype=np.int64))
 
 
@@ -268,49 +270,9 @@ def _gelu(x):
     return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
 
 
-def _softmax_row(row):
-    e = np.exp(row - np.max(row))
-    return e / qgemm.fold_sum(e)
-
-
 # Product elements per block of query positions in ``_attention``; bounds
 # the (slices, heads, positions, keys) temporaries of a long prefill.
 ATTN_BLOCK = 1 << 17
-
-# Scales of a key or value row's slices relative to its 2^e: 2^-26, 2^-52.
-_W_STEPS = np.exp2(-qgemm.W_SLICE_BITS * np.arange(1.0, qgemm.W_SLICES + 1))[:, None, None]
-# Slice s of a query row (s = 1, 2, 3) sits s * b bits below its 2^e.
-_A_SLICE = np.arange(1.0, qgemm.A_SLICES + 1)[:, None, None, None]
-
-
-def _slice_scores(q_parts, keys, prod, scores):
-    """Scores (heads, rows, keys) of query slices (A_SLICES, heads, rows,
-    d_head) against key slices (heads, keys, W_SLICES, d_head), written to
-    ``scores`` by way of ``prod`` (A_SLICES, heads, rows, W_SLICES * keys)."""
-    heads, _, _, d_head = keys.shape
-    np.matmul(q_parts, keys.reshape(heads, -1, d_head).transpose(0, 2, 1), out=prod)
-    by_k = np.add(prod[..., 0::2], prod[..., 1::2], out=prod[..., 0::2])
-    np.add(by_k[0], by_k[1], out=scores)
-    scores += by_k[2]
-    return scores
-
-
-def _slice_context(p, values, bits: int, parts):
-    """(out, e): the weights p (heads * rows, keys) times the value slices
-    (heads, keys, W_SLICES, d_head), exactly up to p's slicing, as out
-    (heads, rows, d_head) in units of 2^(e - bits), e each row's exponent.
-    p's slices are cut into ``parts`` (A_SLICES, heads * rows, keys)."""
-    heads, n_keys, _, d_head = values.shape
-    exps = np.frexp(p.max(axis=1))[1]  # p is finite and never negative
-    parts = qgemm._split(p, exps[:, None], bits, qgemm.A_SLICES, out=parts)
-    prod = np.matmul(parts.reshape(qgemm.A_SLICES, heads, -1, n_keys),
-                     values.reshape(heads, n_keys, -1))
-    by_v = prod[..., :d_head] + prod[..., d_head:]
-    by_v[1] *= 2.0 ** -bits
-    by_v[2] *= 2.0 ** (-2 * bits)
-    out = by_v[0] + by_v[1]
-    out += by_v[2]
-    return out, exps
 
 
 def _attention(q, k, v, cache: KvCache, li: int, start: int):
@@ -319,21 +281,21 @@ def _attention(q, k, v, cache: KvCache, li: int, start: int):
 
     q, k and v have shape (n, heads, d_head); the result too. Every
     (position, head) row of q / sqrt(d_head), k and v gets its own
-    power-of-two exponent (``qgemm._exponents``), and both reductions are
-    exact slice products on BLAS, as in ``qgemm.gemm_reference``
-    (``qgemm._split``):
+    power-of-two exponent, and both reductions are exact slice products
+    on BLAS, the ones ``qgemm.gemm_reference`` makes (``qgemm.row_slices``
+    and ``qgemm.slice_matmul``):
 
     * Scores: a key row is stored as two 26-bit slices, a query row is
-      cut into A_SLICES slices of b = 53 - 26 - ceil(log2 d_head) bits.
-      Each slice dot product is an integer below 2^53 times a power of
-      two, exact in any order; the six are summed in a fixed order.
+      cut into A_SLICES slices of b = ``slice_bits(d_head)`` bits. Each
+      slice dot product is exact in any order; the six are summed in a
+      fixed order.
     * Softmax: p = exp(s - max s), +0.0 for a key past the position. Its
-      normaliser is the exact sum of p on a grid of 2^-g, g = 53 -
-      ceil(log2 max_seq_len), taken in two slices.
-    * Context: a value row is stored as two 26-bit slices and its 2^e
-      (``value_scales``), which is folded into p exactly. Each query row
-      of p is cut into A_SLICES slices of c = 53 - 26 -
-      ceil(log2 max_seq_len) bits, so a dot product over up to
+      normaliser is the exact sum of p on a grid of 2^-g, g =
+      ``slice_bits(max_seq_len, 0)``, taken in two slices.
+    * Context: a value row is stored as two 26-bit slices of the row over
+      its power of two 2^e (``value_scales``), and 2^e is folded into p
+      exactly. Each query row of p is cut into A_SLICES slices of c =
+      ``slice_bits(max_seq_len)`` bits, so a dot product over up to
       max_seq_len keys is exact again. A zero result is +0.0.
 
     Every rounded step is elementwise on one position's row over the
@@ -352,72 +314,79 @@ def _attention(q, k, v, cache: KvCache, li: int, start: int):
     ``CodecError`` for a non-finite q, k or v, before writing the cache.
     """
     n, heads, d_head = q.shape
-    nhd, end = n * heads * d_head, start + n
-    n_prod = qgemm.A_SLICES * qgemm.W_SLICES * heads
-    step = max(1, ATTN_BLOCK // (n_prod * end))
-    q_size = qgemm.A_SLICES * min(n, step) * heads * d_head
+    a_n, w_n = qgemm.A_SLICES, qgemm.W_SLICES
+    nh, end = n * heads, start + n
+    nhd = nh * d_head
+    step = max(1, ATTN_BLOCK // (a_n * w_n * heads * end))
+    rows_max = min(n, step)
+    q_size = a_n * rows_max * heads * d_head
+    # A block's score products, or p's slices and the context products.
+    prod_size = a_n * heads * rows_max * (end + max(end, w_n * d_head))
     # One buffer holds every large temporary of the call, so a long prefill
     # allocates once, not per block. The rows of q / sqrt(d_head), k and v
     # lead it, and |rows| follows them. The rows of k and v become their
     # own last slices, in place, with the first slices behind them. Once
     # those are in the cache, only the query rows stay, and the blocks use
     # the space behind them.
-    work = np.empty(max(6 * nhd, nhd + q_size + (n_prod + heads) * min(n, step) * end))
+    work = np.empty(max(6 * nhd, nhd + q_size + prod_size + heads * rows_max * end))
     rows = work[:3 * nhd].reshape(3, n, heads, d_head)
     np.multiply(q, 1.0 / math.sqrt(d_head), out=rows[0])
     rows[1], rows[2] = k, v
-    rows = rows.reshape(3 * n * heads, d_head)
-    exps = qgemm._exponents(rows, work[3 * nhd:6 * nhd].reshape(-1, d_head))
+    rows = rows.reshape(3 * nh, d_head)
+    exps = qgemm.row_exponents(rows, work[3 * nhd:6 * nhd].reshape(-1, d_head))
     # Key slices sum to the key, value slices to the value over its 2^e.
-    nh = n * heads
-    kv = qgemm._split(rows[nh:], exps[nh:, None], qgemm.W_SLICE_BITS, qgemm.W_SLICES,
-                      out=work[nhd:5 * nhd].reshape(qgemm.W_SLICES, 2 * nh, d_head)[::-1])
-    np.multiply(kv[:, :nh], np.ldexp(_W_STEPS, exps[nh:2 * nh, None]), out=kv[:, :nh])
-    np.multiply(kv[:, nh:], _W_STEPS, out=kv[:, nh:])
-    kv = kv.reshape(qgemm.W_SLICES, 2, n, heads, d_head).transpose(1, 3, 2, 0, 4)
-    cache.keys[li, :, start:end] = kv[0]
-    cache.values[li, :, start:end] = kv[1]
-    cache.value_scales[li, :, start:end] = np.ldexp(1.0, exps[2 * nh:]).reshape(n, heads).T
+    scales = np.ldexp(1.0, exps[2 * nh:])
+    cache.value_scales[li, :, start:end] = scales.reshape(n, heads).T
+    np.divide(rows[2 * nh:], scales, out=rows[2 * nh:])
+    exps[2 * nh:] = 0
+    kv = qgemm.row_slices(rows[nh:], qgemm.W_SLICE_BITS, w_n, exps=exps[nh:],
+                          out=work[nhd:5 * nhd].reshape(w_n, 2 * nh, d_head)[::-1])
+    kv = kv.reshape(w_n, 2, n, heads, d_head)
+    cache.keys[li, :, start:end] = kv[:, 0].transpose(2, 1, 0, 3)
+    cache.values[li, :, start:end] = kv[:, 1].transpose(2, 1, 3, 0)
     rows, exps = rows[:nh].reshape(n, heads, d_head), exps[:nh].reshape(n, heads, 1)
-    # Query slices sum to the row; each block cuts its own rows.
-    bits = 53 - qgemm.W_SLICE_BITS - (d_head - 1).bit_length()
-    q_steps = np.exp2(-bits * _A_SLICE)
 
-    log_seq = (cache.keys.shape[2] - 1).bit_length()
-    p_bits, z_bits = 53 - qgemm.W_SLICE_BITS - log_seq, 53 - log_seq
+    n_seq = cache.keys.shape[2]
+    q_bits, p_bits, z_bits = (qgemm.slice_bits(d_head), qgemm.slice_bits(n_seq),
+                              qgemm.slice_bits(n_seq, 0))
+    keys = cache.keys[li].reshape(heads, -1, d_head).transpose(0, 2, 1)
+    values = cache.values[li].reshape(heads, n_seq, -1)
     work = work[nhd:]
     ctx = np.empty((n, heads, d_head))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         rows_b, n_keys = hi - lo, start + hi
-        q_parts = qgemm._split(
-            rows[lo:hi], exps[lo:hi], bits, qgemm.A_SLICES,
-            out=work[:q_size].reshape(qgemm.A_SLICES, -1, heads, d_head)[:, :rows_b])
-        q_parts *= np.ldexp(q_steps, exps[lo:hi])
-        # The block's slice products, then the normaliser's and p's slices,
-        # share the buffer behind the query slices; the scores and p follow.
         size = heads * rows_b * n_keys
-        front = work[q_size:q_size + n_prod * rows_b * n_keys].reshape(-1, heads * rows_b, n_keys)
-        scores = work[q_size + front.size:q_size + front.size + size].reshape(
+        # Each block cuts its own query slices. The products follow them in
+        # the buffer, then the scores and p.
+        q_parts = qgemm.row_slices(
+            rows[lo:hi], q_bits, a_n, exps=exps[lo:hi],
+            out=work[:q_size].reshape(a_n, -1, heads, d_head)[:, :rows_b])
+        prod = work[q_size:q_size + prod_size]
+        scores = work[q_size + prod_size:q_size + prod_size + size].reshape(
             heads, rows_b, n_keys)
-        _slice_scores(q_parts.transpose(0, 2, 1, 3), cache.keys[li, :, :n_keys],
-                      front.reshape(qgemm.A_SLICES, heads, rows_b, -1), scores)
+        qgemm.slice_matmul(q_parts.transpose(0, 2, 1, 3), keys[..., :w_n * n_keys],
+                           out=scores, work=prod[:w_n * a_n * size])
         if rows_b > 1:  # the block's own last keys lie past its first positions
             future = np.arange(rows_b) > np.arange(rows_b)[:, None]
             np.copyto(scores[..., -rows_b:], -np.inf, where=future)
         scores -= scores.max(axis=-1, keepdims=True)
         p = np.exp(scores, out=scores)  # (heads, rows, keys)
-        # The normaliser in units of 2^-z_bits, from two exact sums.
-        z = qgemm._split(p.reshape(-1, n_keys), 0, z_bits, 2, out=front[:2]).sum(axis=-1)
-        z = z[0] + z[1] * 2.0 ** -z_bits
+        # The normaliser: two exact sums of p's slices on the grid of 2^-z_bits.
+        z = qgemm.row_slices(p, z_bits, 2, exps=0, out=prod[:2 * size].reshape(
+            2, heads, rows_b, n_keys)).sum(axis=-1, keepdims=True)
+        z = z[0] + z[1]
         p *= cache.value_scales[li, :, None, :n_keys]
-        out, p_exps = _slice_context(p.reshape(-1, n_keys), cache.values[li, :, :n_keys],
-                                     p_bits, front[:qgemm.A_SLICES])
-        # Scale out by 2^(e - p_bits) over the normaliser; adding +0.0 makes
-        # a zero +0.0 whichever sign BLAS gave it.
-        z = np.ldexp(z, p_bits - z_bits - p_exps).reshape(heads, rows_b, 1)
-        np.divide(out, z, out=out)
-        np.add(out, 0.0, out=ctx[lo:hi].transpose(1, 0, 2))
+        # p is finite and never negative.
+        p_parts = qgemm.row_slices(
+            p, p_bits, a_n, exps=np.frexp(p.max(axis=-1, keepdims=True))[1],
+            out=prod[:a_n * size].reshape(a_n, heads, rows_b, n_keys))
+        out = ctx[lo:hi].transpose(1, 0, 2)
+        qgemm.slice_matmul(p_parts, values[:, :n_keys], out=out,
+                           work=prod[a_n * size:a_n * (size + heads * rows_b * w_n * d_head)])
+        # Adding +0.0 makes a zero +0.0 whichever sign BLAS gave it.
+        out /= z
+        out += 0.0
     return ctx
 
 
@@ -483,7 +452,9 @@ def greedy_next(logits_row: np.ndarray) -> int:
 
 
 def softmax_probs(logits_row: np.ndarray) -> np.ndarray:
-    return _softmax_row(np.asarray(logits_row, dtype=np.float64))
+    row = np.asarray(logits_row, dtype=np.float64)
+    e = np.exp(row - np.max(row))
+    return e / qgemm.fold_sum(e)
 
 
 def model_checksum(model: TinyLmModel) -> str:

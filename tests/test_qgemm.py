@@ -138,6 +138,49 @@ class TestReference:
         )
 
 
+class TestSliceMatmul:
+    """The slice product that the reference GEMM and attention share."""
+
+    def test_batched_weight_equals_each_batch(self):
+        # Attention multiplies every head's slices in one call with a 3-D
+        # weight; each head must get the 2-D product's bits and bound.
+        rng = np.random.default_rng(21)
+        heads, m, k, n = 3, 5, 40, 4
+        w = rng.standard_normal((heads, m, k)) * np.exp2(rng.integers(-12, 12, (heads, m, k)))
+        a = rng.standard_normal((heads, k, n)) * np.exp2(rng.integers(-12, 12, (heads, k, n)))
+        w_parts = np.stack([FloatWeight(w[h]).slices for h in range(heads)])
+        a_parts = qgemm.row_slices(a.transpose(0, 2, 1), qgemm.slice_bits(k), qgemm.A_SLICES)
+        got = qgemm.slice_matmul(a_parts, w_parts)
+        assert got.shape == (heads, n, m)
+        for h in range(heads):
+            alone = qgemm.slice_matmul(np.ascontiguousarray(a_parts[:, h]), w_parts[h])
+            assert alone.tobytes() == got[h].tobytes()
+            assert np.ascontiguousarray(got[h].T).tobytes() == gemm_reference(w[h], a[h]).tobytes()
+            bound = TestReference.error_bound(w[h], a[h])
+            for i in range(m):
+                for j in range(n):
+                    exact = sum(Fraction(float(w[h, i, t])) * Fraction(float(a[h, t, j]))
+                                for t in range(k))
+                    assert abs(Fraction(float(got[h, j, i])) - exact) <= Fraction(bound[i, j])
+
+    def test_2d_weight_is_one_matmul(self, monkeypatch):
+        # One GEMM over every activation slice and column, not one
+        # matrix-vector product per slice.
+        shapes = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b, out=None):
+            shapes.append((a.shape, b.shape))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        rng = np.random.default_rng(22)
+        w = FloatWeight(rng.standard_normal((6, 32)))
+        a = rng.standard_normal((32, 5))
+        gemm_reference(w, a)
+        assert shapes == [((qgemm.A_SLICES * 5, 32), (32, qgemm.W_SLICES * 6))]
+
+
 class TestFoldSum:
     def test_matches_plain_sum(self):
         rng = np.random.default_rng(2)
@@ -351,10 +394,10 @@ class TestBench:
 
     def test_reference_bench_times_a_stationary_weight(self, monkeypatch):
         splits = []
-        split = qgemm._split
-        monkeypatch.setattr(qgemm, "_split",
-                            lambda x, e, bits, count: splits.append(count) or
-                            split(x, e, bits, count))
+        row_slices = qgemm.row_slices
+        monkeypatch.setattr(qgemm, "row_slices",
+                            lambda x, bits, count, **kw: splits.append(count) or
+                            row_slices(x, bits, count, **kw))
         res = gemm_bench(GemmShape(64, 2, 64), "reference", repetitions=9)
         assert res.seconds > 0
         # The weight is split once, in warm-up; each call splits activations.

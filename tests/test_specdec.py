@@ -8,7 +8,6 @@ from specqd import specdec
 from specqd.specdec import (
     DEFAULT_SPEC_LEN,
     DEFAULT_THRESHOLD,
-    STRINGENT_THRESHOLD,
     ACCEPTANCE_CSV_HEADER,
     ROUNDS_CSV_HEADER,
     AcceptanceStats,
@@ -54,7 +53,6 @@ class TestDefaults:
     def test_constants(self):
         assert DEFAULT_SPEC_LEN == 8
         assert DEFAULT_THRESHOLD == 0.4
-        assert STRINGENT_THRESHOLD == 0.65
 
     def test_level_validation(self, target):
         with pytest.raises(ValueError):
