@@ -126,14 +126,16 @@ class MxfpTensor:
         """(doubled E2M1 values, block scale values) for the int8 GEMM.
 
         The values are the ``fp4_to_int8_lut`` entries as float32 in
-        (block, row, 32) layout, so one batched matmul yields every block's
-        partial; the scales have shape (rows, blocks). Built on first use and
-        kept, so casting or loading a model does not pay for it.
+        contiguous (block, 32, row) layout: each block is a row-major
+        (32, rows) matrix, so one batched matmul yields every block's
+        partial without a transposed operand. The scales have shape
+        (blocks, rows). Built on first use and kept, so casting or loading
+        a model does not pay for it.
         """
         lut = fp4_to_int8_lut().astype(np.float32)
         values = lut[self.codes].reshape(self.rows, -1, BLOCK_SIZE)
-        return (np.ascontiguousarray(values.transpose(1, 0, 2)),
-                scale_values(self.scale_exp))
+        return (np.ascontiguousarray(values.transpose(1, 2, 0)),
+                np.ascontiguousarray(scale_values(self.scale_exp).T))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MxfpTensor):

@@ -14,13 +14,15 @@ Three paths sharing one arithmetic contract:
                            weight_scale * activation_scale * 2^-1.
 
 The int8 path is weights-stationary. Each MxfpTensor packs its LUT values
-as float32 in (block, row, 32) layout once, on first use
-(``MxfpTensor.int_operand``), and one batched BLAS matmul per call gives
-the partials of every block, row and column. That is exact: a partial is
-an integer of magnitude at most INT_PARTIAL_BOUND = 48,768 < 2^24, and so
-is every partial sum of its terms, so float32 represents each step and any
-summation order BLAS picks gives the same bits. Only the cross-block sum
-of scaled partials is rounded, and ``fold_sum`` does it in a fixed order.
+as float32 in a contiguous (block, 32, row) layout once, on first use
+(``MxfpTensor.int_operand``): every block is a row-major (32, rows)
+matrix, so one batched BLAS matmul per call gives the partials of every
+block, column and row without a transposed operand. That is exact: a
+partial is an integer of magnitude at most INT_PARTIAL_BOUND = 48,768 <
+2^24, and so is every partial sum of its terms, so float32 represents each
+step and any summation order BLAS picks gives the same bits. Only the
+cross-block sum of scaled partials is rounded, and ``fold_sum`` does it in
+a fixed order.
 
 ``gemm_reference`` is exact the same way, after an Ozaki-style error-free
 split (Ozaki et al. 2012, Numer. Algorithms 59) that attention in
@@ -63,7 +65,7 @@ from .mxfp4 import (
 INT_PARTIAL_BOUND = 48_768
 
 # Output columns per block reduction in the int8 kernel; bounds its
-# (blocks, rows, columns) temporaries for long prefills.
+# (blocks, columns, rows) temporaries for long prefills.
 COL_CHUNK = 16
 
 # The exact-slice format: W_SLICES weight slices of W_SLICE_BITS bits and
@@ -325,20 +327,24 @@ def quantize_activations(a: np.ndarray) -> QuantizedActivationPanel:
     """Symmetric int8 quantization, one scale per (32-row block, column).
 
     scale = max|block| / 127 (1.0 for an all-zero block); values rounded
-    half-to-even and clamped to [-127, 127].
+    half-to-even and clamped to [-127, 127]. One pass: |a|, then a over
+    its scale, rounded and clamped in place in the same buffer.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] % BLOCK_SIZE:
         raise GemmShapeError(f"activation shape {a.shape} not K-blockable")
-    if not np.all(np.isfinite(a)):
-        raise CodecError("quantize_activations requires finite inputs")
     k, n = a.shape
     blocks = a.reshape(-1, BLOCK_SIZE, n)
-    absmax = np.max(np.abs(blocks), axis=1)
-    scales = np.where(absmax == 0.0, 1.0, absmax / 127.0)
-    q = np.round(blocks / scales[:, None, :])
-    values = np.clip(q, -127, 127).astype(np.int8).reshape(k, n)
-    return QuantizedActivationPanel(values=values, scales=scales)
+    q = np.abs(blocks)
+    absmax = q.max(axis=1)
+    if not np.isfinite(absmax).all():  # a NaN or an infinity reaches its maximum
+        raise CodecError("quantize_activations requires finite inputs")
+    zero = absmax == 0.0
+    scales = np.divide(absmax, 127.0, out=absmax)
+    scales += zero  # 1.0 for an all-zero block, exactly
+    np.rint(np.divide(blocks, scales[:, None, :], out=q), out=q)
+    np.maximum(np.minimum(q, 127.0, out=q), -127.0, out=q)
+    return QuantizedActivationPanel(values=q.astype(np.int8).reshape(k, n), scales=scales)
 
 
 def dequantize_activations(panel: QuantizedActivationPanel) -> np.ndarray:
@@ -384,30 +390,38 @@ def gemm_mxfp4_int8(
 ) -> np.ndarray:
     """Integer LUT path: exact block dot products, late-scaled once per block.
 
-    The (block, row, column) partials come from one float32 BLAS matmul per
-    ``COL_CHUNK`` columns, exactly (see the module docstring). The output
-    scale folds in the LUT's x2 compensation as
-    weight_scale * activation_scale * 0.5.
+    The (block, column, row) partials come from one float32 BLAS matmul of
+    the activations against ``w.int_operand`` per ``COL_CHUNK`` columns,
+    exactly (see the module docstring). The output scale folds in the
+    LUT's x2 compensation as weight_scale * activation_scale * 0.5.
     """
     _check_weight_act(w, a.k)
-    if n_threads is None:
-        n_threads = default_threads()
     w_vals, w_scales = w.int_operand
     # Columns lead and rows trail, so the scaling broadcasts along rows.
     act = a.values.astype(np.float32).reshape(-1, BLOCK_SIZE, a.n).transpose(0, 2, 1)
-    a_scales = (a.scales * 0.5)[:, :, None]
+    return _int8_kernel(act, (a.scales * 0.5)[:, :, None], w_vals, w_scales,
+                        default_threads() if n_threads is None else n_threads)
 
-    def kernel(lo, hi):
-        w_t = w_vals[:, lo:hi].transpose(0, 2, 1)
-        sc = w_scales[lo:hi].T[:, None, :]
-        out = np.empty((hi - lo, a.n))
-        for j in range(0, a.n, COL_CHUNK):
-            cols = slice(j, j + COL_CHUNK)
-            partial = np.matmul(act[:, cols], w_t)
-            out[:, cols] = fold_sum(partial * (sc * a_scales[:, cols]), axis=0).T
-        return out
 
-    return _parallel_rows(kernel, w.rows, n_threads)
+def _int8_kernel(act, a_scales, w_vals, w_scales, n_threads: int) -> np.ndarray:
+    """(rows, columns) of the int8 GEMM of (block, column, 32) activations
+    on a (block, 32, row) operand. It splits rows over threads and columns
+    into ``COL_CHUNK``s; neither split moves a result bit."""
+    if min(n_threads, w_scales.shape[1]) > 1:
+        return _parallel_rows(
+            lambda lo, hi: _int8_kernel(act, a_scales, w_vals[..., lo:hi],
+                                        w_scales[:, lo:hi], 1),
+            w_scales.shape[1], n_threads)
+    if act.shape[1] > COL_CHUNK:
+        return np.concatenate([
+            _int8_kernel(act[:, j:j + COL_CHUNK], a_scales[:, j:j + COL_CHUNK],
+                         w_vals, w_scales, 1)
+            for j in range(0, act.shape[1], COL_CHUNK)], axis=1)
+    # partial * (w scale * a scale / 2), the tests' oracle order: another
+    # order rounds differently once a product leaves float64's normal range.
+    scaled = np.multiply(w_scales[:, None, :], a_scales)
+    np.multiply(np.matmul(act, w_vals), scaled, out=scaled)
+    return fold_sum(scaled, axis=0).T
 
 
 def gemm_bytes(shape: GemmShape, path: str) -> int:

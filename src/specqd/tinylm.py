@@ -97,13 +97,14 @@ class LinearWeight:
             return a
         return qgemm.quantize_activations(a)
 
-    def apply(self, x: np.ndarray, gemm_path: str,
+    def apply(self, x: np.ndarray, gemm_path: str, n_threads: int | None = None,
               operands: dict | None = None) -> np.ndarray:
         """y = x @ W.T for x of shape (n_tokens, in_features).
 
-        ``operands`` keeps the GEMM operand made from x per storage kind and
-        width, so linears that read the same x transpose, pad and quantize
-        it once.
+        ``n_threads`` goes to the MXFP4 kernels (``SPECQD_THREADS`` when
+        None). ``operands`` keeps the GEMM operand made from x per storage
+        kind and width, so linears that read the same x transpose, pad and
+        quantize it once.
         """
         if operands is None:
             a = self._operand(x, gemm_path)
@@ -115,8 +116,8 @@ class LinearWeight:
         if not self.is_quantized:
             return qgemm.gemm_reference(self.weight, a).T
         if gemm_path == "latescale_f32":
-            return qgemm.gemm_mxfp4_latescale_f32(self.weight, a).T
-        return qgemm.gemm_mxfp4_int8(self.weight, a).T
+            return qgemm.gemm_mxfp4_latescale_f32(self.weight, a, n_threads).T
+        return qgemm.gemm_mxfp4_int8(self.weight, a, n_threads).T
 
 
 @dataclass
@@ -266,8 +267,10 @@ def _layer_norm(x, g, b, eps):
 
 
 def _gelu(x):
-    # tanh approximation; exactness is irrelevant, determinism is not.
-    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
+    # tanh approximation; exactness is irrelevant, determinism is not. x**3
+    # would call libm pow per element at 30-45x the cost of x * x * x; the two
+    # differ in the last bits, so this choice is part of every model's logits.
+    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * (x * x * x))))
 
 
 # Product elements per block of query positions in ``_attention``; bounds
@@ -418,26 +421,26 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
     if model.forward_penalty_s:
         time.sleep(model.forward_penalty_s)
 
-    d_head = cfg.d_model // cfg.n_heads
+    threads = qgemm.default_threads()  # once per forward, not once per GEMM
     x = model.tok_emb[tokens] + model.pos_emb[start:end]
 
     for li, layer in enumerate(model.layers):
         h = _layer_norm(x, layer.ln1_g, layer.ln1_b, cfg.norm_epsilon)
         operands = {}  # wq, wk and wv read the same h
         q, k, v = (
-            lw.apply(h, model.gemm_path, operands).reshape(n, cfg.n_heads, d_head)
+            lw.apply(h, model.gemm_path, threads, operands).reshape(n, cfg.n_heads, -1)
             for lw in (layer.wq, layer.wk, layer.wv)
         )
         ctx = _attention(q, k, v, cache, li, start)
-        attn = layer.wo.apply(ctx.reshape(n, cfg.d_model), model.gemm_path)
+        attn = layer.wo.apply(ctx.reshape(n, cfg.d_model), model.gemm_path, threads)
         x = x + attn
 
         h = _layer_norm(x, layer.ln2_g, layer.ln2_b, cfg.norm_epsilon)
-        up = _gelu(layer.w_up.apply(h, model.gemm_path))
-        x = x + layer.w_down.apply(up, model.gemm_path)
+        up = _gelu(layer.w_up.apply(h, model.gemm_path, threads))
+        x = x + layer.w_down.apply(up, model.gemm_path, threads)
 
     h = _layer_norm(x, model.final_ln_g, model.final_ln_b, cfg.norm_epsilon)
-    logits = model.w_out.apply(h, model.gemm_path)
+    logits = model.w_out.apply(h, model.gemm_path, threads)
     cache.tokens[start:end] = tokens
     cache.length = end
     return logits

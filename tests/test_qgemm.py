@@ -197,6 +197,21 @@ class TestFoldSum:
                               fold_sum(view[1:8, 4:37], axis=1))
 
 
+def quantize_activations_oracle(a):
+    """The quantizer as first written: np.round/np.clip/np.where wrappers
+    and a finiteness check over the whole panel."""
+    a = np.asarray(a, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise CodecError("quantize_activations requires finite inputs")
+    k, n = a.shape
+    blocks = a.reshape(-1, BLOCK_SIZE, n)
+    absmax = np.max(np.abs(blocks), axis=1)
+    scales = np.where(absmax == 0.0, 1.0, absmax / 127.0)
+    q = np.round(blocks / scales[:, None, :])
+    values = np.clip(q, -127, 127).astype(np.int8).reshape(k, n)
+    return values, scales
+
+
 class TestActivationQuantization:
     def test_zero_block(self):
         p = quantize_activations(np.zeros((BLOCK_SIZE, 2)))
@@ -225,6 +240,33 @@ class TestActivationQuantization:
         a[:, 1] *= 254.0
         p = quantize_activations(a)
         assert p.scales[0, 0] != p.scales[0, 1]
+
+    @pytest.mark.parametrize("k", [32, 64, 512])
+    @pytest.mark.parametrize("n", [1, 5, 17])
+    def test_bytes_match_oracle(self, k, n):
+        rng = np.random.default_rng(k * 100 + n)
+        a = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-8, 8, size=(1, n))
+        a[:BLOCK_SIZE, 0] = 0.0  # an all-zero block
+        a[rng.integers(0, k, 4), rng.integers(0, n, 4)] = -0.0
+        # Exact .5 ties after scaling: the block maximum is 127 * 2^e, so
+        # the scale is 2^e and every value is a half-integer on that grid.
+        e = int(rng.integers(-20, 20))
+        tie = rng.integers(-254, 255, BLOCK_SIZE) / 2.0
+        tie[0] = 127.0
+        a[-BLOCK_SIZE:, -1] = tie * 2.0 ** e
+        got = quantize_activations(a)
+        values, scales = quantize_activations_oracle(a)
+        assert got.values.tobytes() == values.tobytes()
+        assert got.scales.tobytes() == scales.tobytes()
+        assert got.scales[-1, -1] == 2.0 ** e
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [(0, 0), (31, 2), (40, 0), (63, 2)])
+    def test_non_finite_raises(self, bad, pos):
+        a = np.ones((2 * BLOCK_SIZE, 3))
+        a[pos] = bad
+        with pytest.raises(CodecError):
+            quantize_activations(a)
 
 
 class TestLateScaling:
@@ -346,8 +388,10 @@ class TestInt8Path:
         assert "int_operand" not in vars(w)
         gemm_mxfp4_int8(w, quantize_activations(np.ones((BLOCK_SIZE, 1))))
         values, scales = vars(w)["int_operand"]
-        assert values.dtype == np.float32 and values.shape == (1, 4, BLOCK_SIZE)
-        assert scales.shape == (4, 1)
+        # (block, 32, row) values and (block, row) scales, both contiguous.
+        assert values.dtype == np.float32 and values.shape == (1, BLOCK_SIZE, 4)
+        assert values.flags.c_contiguous and scales.flags.c_contiguous
+        assert scales.shape == (1, 4)
 
 
 def einsum_int8_oracle(w: MxfpTensor, a) -> np.ndarray:

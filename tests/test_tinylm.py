@@ -165,12 +165,14 @@ class TestForward:
         want = 4 * CFG.n_layers + 1 if m.is_quantized else 0
         assert len(calls) == want
 
-    def test_thread_count_invariant(self, model, monkeypatch):
+    @pytest.mark.parametrize("mdl", ["model", "qmodel"])
+    def test_thread_count_invariant(self, mdl, request, monkeypatch):
+        m = request.getfixturevalue(mdl)
         c1 = KvCache.empty(CFG)
-        base = forward(model, c1, [1, 2])
+        base = forward(m, c1, [1, 2])
         monkeypatch.setenv("SPECQD_THREADS", "4")
         c2 = KvCache.empty(CFG)
-        assert np.array_equal(base, forward(model, c2, [1, 2]))
+        assert np.array_equal(base, forward(m, c2, [1, 2]))
 
 
 # Prints one digest over a reference GEMM and the logits of d64 forwards:
