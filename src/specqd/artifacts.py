@@ -36,6 +36,11 @@ VERSION = 1
 _DTYPE_F32 = 0
 _DTYPE_MXFP4 = 1
 _LAYOUT_K_BLOCKED = 1
+# The layout tag each dtype tag is written with; no other pair is read.
+_LAYOUT_OF = {_DTYPE_F32: 0, _DTYPE_MXFP4: _LAYOUT_K_BLOCKED}
+# Reads of more bytes check the stream's length first, at the cost of two
+# seeks and the read buffer; a smaller one may simply come back short.
+_CHECK_ABOVE = 1 << 24
 
 
 class ArtifactError(Exception):
@@ -67,6 +72,14 @@ class BadConfig(ArtifactError):
 
 
 def _read_exact(stream, n: int) -> bytes:
+    """``n`` bytes, or ``TruncatedPayload``: raised before reading when ``n``
+    is large, so a corrupt header's size never reaches an allocation."""
+    if n > _CHECK_ABOVE:
+        here = stream.tell()
+        left = stream.seek(0, io.SEEK_END) - here
+        stream.seek(here)
+        if left < n:
+            raise TruncatedPayload(f"header declares {n} bytes, {left} remain")
     data = stream.read(n)
     if len(data) != n:
         raise TruncatedPayload(f"expected {n} bytes, got {len(data)}")
@@ -113,21 +126,19 @@ def load_tensor(stream):
     )
     if version != VERSION:
         raise VersionMismatch(f"tensor version {version}, expected {VERSION}")
+    if _LAYOUT_OF.get(dtype) != layout:
+        raise ShapeMismatch(f"unknown dtype/layout tags {dtype}/{layout}")
     if dtype == _DTYPE_F32:
         payload = _read_exact(stream, rows * cols * 4)
         return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
-    if dtype == _DTYPE_MXFP4:
-        if layout != _LAYOUT_K_BLOCKED:
-            raise ShapeMismatch(f"unknown mxfp4 layout tag {layout}")
-        padded = -(-cols // BLOCK_SIZE) * BLOCK_SIZE
-        codes = unpack_nibbles(
-            _read_exact(stream, rows * padded // 2), rows * padded
-        ).reshape(rows, padded)
-        scales = np.frombuffer(
-            _read_exact(stream, rows * padded // BLOCK_SIZE), dtype=np.uint8
-        ).reshape(rows, padded // BLOCK_SIZE).copy()
-        return MxfpTensor(rows, cols, codes, scales)
-    raise ShapeMismatch(f"unknown dtype tag {dtype}")
+    padded = -(-cols // BLOCK_SIZE) * BLOCK_SIZE
+    codes = unpack_nibbles(
+        _read_exact(stream, rows * padded // 2), rows * padded
+    ).reshape(rows, padded)
+    scales = np.frombuffer(
+        _read_exact(stream, rows * padded // BLOCK_SIZE), dtype=np.uint8
+    ).reshape(rows, padded // BLOCK_SIZE).copy()
+    return MxfpTensor(rows, cols, codes, scales)
 
 
 def save_tensor_file(path, tensor):

@@ -54,6 +54,9 @@ def _load_tree(args) -> specdec.SpecTree:
     paths = [args.target] + list(args.draft or [])
     spec_lens = list(args.spec_len or [])
     thresholds = list(args.threshold or [])
+    for flag, values in (("--spec-len", spec_lens), ("--threshold", thresholds)):
+        if len(values) > len(paths):
+            raise CliError(f"{len(values)} {flag} values for {len(paths)} levels")
     levels = []
     for i, path in enumerate(paths):
         model = artifacts.load_model(path)

@@ -2,13 +2,14 @@
 multi-level hierarchy.
 
 Level 0 is the target; level i+1 drafts for level i. Each level is a
-session with its own KV cache, and every level with a draft runs the same
-round: its child proposes, its own model verifies. Verification is greedy:
-the longest proposed prefix matching the verifier's own argmax is accepted
-and the verifier's argmax at the first mismatch (or after a fully accepted
-prefix) is emitted as the bonus token. Because every model breaks argmax
-ties to the lowest token id, the target's stream is token-identical to
-plain greedy decoding of the target, up to and at its context limit.
+session with its own KV cache, and every level runs the same round; a leaf
+drafts nothing. In a round the child proposes and the level's own model
+verifies. Verification is greedy: the longest proposed prefix matching the
+verifier's own argmax is accepted and the verifier's argmax at the first
+mismatch (or after a fully accepted prefix) is emitted as the bonus token.
+Because every model breaks argmax ties to the lowest token id, the
+target's stream is token-identical to plain greedy decoding of the target,
+up to and at its context limit.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ class AcceptanceStats:
     accepted: dict[int, int] = field(default_factory=dict)
     rounds: dict[int, int] = field(default_factory=dict)
     model_time_s: dict[int, float] = field(default_factory=dict)
+    log: list[RoundRecord] = field(default_factory=list)  # rounds with a child
 
     def record(self, level: int, proposed: int, accepted: int):
         self.proposed[level] = self.proposed.get(level, 0) + proposed
@@ -148,42 +150,22 @@ class _Session:
                 and softmax_probs(row)[token] < self.spec.threshold)
 
     def propose(self, context: list[int], n_max: int, stats: AcceptanceStats,
-                rounds: list[RoundRecord], eos: int | None = None) -> list[int]:
-        """Up to ``n_max`` tokens continuing ``context``, from this level's model.
-
-        Greedy with confidence-threshold early stop at a leaf; the level's own
-        draft/verify loop over its child otherwise. Either way the proposal is
-        a prefix of this model's greedy continuation of ``context``. It stops
-        after ``eos`` (only the target passes one) and at the context limit:
-        the last token it can give is the one after a full context.
-        """
+                eos: int | None = None) -> list[int]:
+        """Up to ``n_max`` tokens of this model's greedy continuation of
+        ``context``, in rounds until a confidence stop, ``eos`` (only the
+        target passes one) or the context limit: the last token it can give
+        is the one after a full context."""
         n_max = min(n_max, self.spec.model.config.max_seq_len - len(context) + 1)
-        if n_max <= 0:
-            return []
-        if self.child is None:
-            return self._propose_greedy(context, n_max, stats, eos)
         out: list[int] = []
         while len(out) < n_max:
-            new, stop = self._verify_round(context + out, stats, rounds)
+            new, stop = self._verify_round(context + out, stats)
             out += new
             if stop or eos in new:
                 break
         return out[:n_max]
 
-    def _propose_greedy(self, context, n_max, stats, eos):
-        out: list[int] = []
-        pending = self._unfed(context)
-        for _ in range(n_max):
-            row = self._timed_forward(pending, stats)[-1]
-            token = greedy_next(row)
-            out.append(token)
-            pending = [token]
-            if token == eos or self._unconfident(row, token):
-                break
-        return out
-
-    def _verify_round(self, context, stats, rounds):
-        """The child drafts after ``context``; this level's model verifies.
+    def _verify_round(self, context, stats):
+        """The child, if any, drafts after ``context``; this level verifies.
 
         Returns (tokens to emit at this level, early-stop flag). The flag is
         set when a token's confidence falls below this level's threshold.
@@ -191,8 +173,8 @@ class _Session:
         """
         t0 = time.perf_counter()
         room = self.spec.model.config.max_seq_len - len(context)
-        proposed = self.child.propose(
-            context, min(self.child.spec.spec_len, room), stats, rounds
+        proposed = [] if self.child is None else self.child.propose(
+            context, min(self.child.spec.spec_len, room), stats
         )
         t1 = time.perf_counter()
         unfed = self._unfed(context)
@@ -208,10 +190,11 @@ class _Session:
         rollback(self.cache, len(context) + accepted)
         if proposed:
             stats.record(self.level + 1, len(proposed), accepted)
-        rounds.append(RoundRecord(
-            level=self.level, proposed=len(proposed), accepted=accepted,
-            draft_s=t1 - t0, verify_s=time.perf_counter() - t1,
-        ))
+        if self.child is not None:
+            stats.log.append(RoundRecord(
+                level=self.level, proposed=len(proposed), accepted=accepted,
+                draft_s=t1 - t0, verify_s=time.perf_counter() - t1,
+            ))
         emitted = proposed[:accepted] + [bonus]
         # Confidence stop applies to this level's own output stream.
         stop = False
@@ -283,14 +266,13 @@ def speculative_generate(tree: SpecTree, prompt, max_new: int,
     prompt = _checked_request(tree.target, prompt, max_new, eos)
     t0 = time.perf_counter()
     stats = AcceptanceStats()
-    rounds: list[RoundRecord] = []
-    out = build_sessions(tree).propose(prompt, max_new, stats, rounds, eos)
+    out = build_sessions(tree).propose(prompt, max_new, stats, eos)
     if eos in out:
         out = out[: out.index(eos) + 1]
     # Short of max_new without EOS means the context ran out, as in greedy.
     truncated = len(out) < max_new and eos not in out
     return GenerationResult(out, time.perf_counter() - t0,
-                            rounds=rounds, stats=stats, truncated=truncated)
+                            rounds=stats.log, stats=stats, truncated=truncated)
 
 
 def geomean(values) -> float:

@@ -101,6 +101,35 @@ class TestTensorRoundtrip:
             load_tensor(io.BytesIO(bytes(data)))
 
 
+    @pytest.mark.parametrize("tag", [1, 7])
+    def test_f32_rejects_other_layouts(self, tag):
+        buf = io.BytesIO()
+        save_tensor(buf, np.ones((2, 3), dtype=np.float32))
+        data = bytearray(buf.getvalue())
+        assert data[7] == 0  # the only layout written for f32
+        data[7] = tag
+        with pytest.raises(ShapeMismatch):
+            load_tensor(io.BytesIO(bytes(data)))
+
+    # Declared payloads of 2**48 bytes and more, past any address space: the
+    # loader must refuse them from the header, never size a read by them.
+    @pytest.mark.parametrize("tensor,rows,cols", [
+        (np.ones((2, 3), dtype=np.float32), 2**40, 2**20),
+        (np.ones((2, 3), dtype=np.float32), 2**62, 3),
+        (quantize_direct_cast(np.ones((2, BLOCK_SIZE))), 2**44, BLOCK_SIZE),
+        (quantize_direct_cast(np.ones((2, BLOCK_SIZE))), 2, 2**63),
+    ], ids=["f32-2^40x2^20", "f32-2^62-rows", "mxfp4-2^44-rows",
+            "mxfp4-2^63-cols"])
+    def test_declared_size_beyond_file(self, tmp_path, tensor, rows, cols):
+        p = tmp_path / "t.bin"
+        save_tensor_file(p, tensor)
+        data = bytearray(p.read_bytes())
+        data[8:24] = struct.pack("<QQ", rows, cols)
+        p.write_bytes(bytes(data))
+        with pytest.raises(TruncatedPayload):
+            load_tensor_file(p)
+
+
 class TestModelRoundtrip:
     def test_float_model_bit_exact(self, tmp_path):
         m = init_seeded(CFG, 5)
@@ -179,6 +208,14 @@ class TestModelRoundtrip:
         p.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob
                       + data[10 + cfg_len:])
         with pytest.raises(BadConfig):
+            load_model(p)
+
+    def test_config_length_beyond_file(self, tmp_path):
+        p = tmp_path / "m.bin"
+        save_model(p, init_seeded(CFG, 10))
+        data = p.read_bytes()
+        p.write_bytes(data[:6] + struct.pack("<I", 2**32 - 1) + data[10:])
+        with pytest.raises(TruncatedPayload):
             load_model(p)
 
     def test_truncated_file(self, tmp_path):

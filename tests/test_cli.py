@@ -69,6 +69,27 @@ class TestQuantize:
         assert main(argv) == 1
         assert "error: bad model config block" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["quantize", "generate"])
+    def test_corrupt_tensor_header_returns_1(self, models, tmp_path, capsys,
+                                             command):
+        target, _, prompts = models
+        bad = tmp_path / "bad.bin"
+        data = bytearray(target.read_bytes())
+        # The section name, then the tensor's magic, version, dtype and
+        # layout tags, then its u64 rows field.
+        rows_at = data.index(b"tok_emb") + len(b"tok_emb") + 8
+        data[rows_at:rows_at + 8] = (2**62).to_bytes(8, "little")
+        bad.write_bytes(bytes(data))
+        argv = {
+            "quantize": ["quantize", "--model", str(bad),
+                         "--out", str(tmp_path / "q.bin")],
+            "generate": ["generate", "--target", str(bad), "--prompts",
+                         str(prompts), "--out", str(tmp_path / "out")],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "error: header declares" in capsys.readouterr().err
+
     def test_missing_input_returns_1(self, tmp_path, capsys):
         rc = main(["quantize", "--model", str(tmp_path / "absent.bin"),
                    "--out", str(tmp_path / "o.bin")])
@@ -160,6 +181,7 @@ class TestGenerate:
         (["--max-new", "-3"], "error: max_new must be >= 0, got -3"),
         (["--eos", "999"], "error: eos token id 999 outside [0, 256)"),
         (["--eos", "-1"], "error: eos token id -1 outside [0, 256)"),
+        (["--spec-len", "4"] * 3, "error: 3 --spec-len values for 2 levels"),
     ])
     def test_bad_request_is_an_error(self, models, tmp_path, capsys, flags,
                                      message):

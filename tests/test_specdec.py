@@ -21,7 +21,16 @@ from specqd.specdec import (
     run_benchmark,
     speculative_generate,
 )
-from specqd.tinylm import LmConfig, TokenRangeError, direct_cast_mxfp4, init_seeded
+from specqd.tinylm import (
+    KvCache,
+    LmConfig,
+    TokenRangeError,
+    direct_cast_mxfp4,
+    forward,
+    greedy_next,
+    init_seeded,
+    softmax_probs,
+)
 
 CFG = LmConfig(d_model=32, n_layers=2, n_heads=2, d_ff=64, max_seq_len=128)
 SMALL = LmConfig(d_model=16, n_layers=1, n_heads=2, d_ff=32, max_seq_len=128)
@@ -199,6 +208,74 @@ class TestContextLimit:
             base = greedy_generate(target, prompt, max_len)
             spec = speculative_generate(tree, prompt, max_len)
             assert (spec.tokens, spec.truncated) == (base.tokens, base.truncated), n
+
+
+def leaf_oracle(model, context, n_max, threshold, eos=None):
+    """A leaf's greedy proposal as a loop of its own, one forward per token.
+
+    It stops at ``eos``, at a token whose probability is below
+    ``threshold``, and at the context limit.
+    """
+    n_max = min(n_max, model.config.max_seq_len - len(context) + 1)
+    cache = KvCache.empty(model.config)
+    out, pending = [], list(context)
+    for _ in range(n_max):
+        row = forward(model, cache, pending)[-1]
+        token = greedy_next(row)
+        out.append(token)
+        pending = [token]
+        if token == eos or (threshold > 0
+                            and softmax_probs(row)[token] < threshold):
+            break
+    return out
+
+
+# Top-1 probabilities of this model straddle 0.02, so that threshold
+# stops some proposals early and lets others run to the limit.
+LEAF = LmConfig(vocab_size=160, d_model=16, n_layers=1, n_heads=2, d_ff=32,
+                max_seq_len=24)
+
+
+class TestLeafRound:
+    """A leaf runs the same round as every other level, over an empty draft."""
+
+    @pytest.mark.parametrize("context_len,n_max", [
+        (3, 5), (3, 22), (3, 40), (20, 5), (24, 3), (25, 3),
+    ], ids=["short", "reaches-limit", "passes-limit", "near-limit",
+            "full-context", "past-limit"])
+    @pytest.mark.parametrize("threshold", [0.0, 1e-9, 0.02, 0.4, 1.0])
+    @pytest.mark.parametrize("eos_hit", [False, True])
+    def test_matches_greedy_oracle(self, monkeypatch, context_len, n_max,
+                                   threshold, eos_hit):
+        model = init_seeded(LEAF, 0)
+        context = [(5 * i + 1) % LEAF.vocab_size for i in range(context_len)]
+        want = leaf_oracle(model, context, n_max, threshold)
+        eos = want[len(want) // 2] if eos_hit and want else None
+        want = leaf_oracle(model, context, n_max, threshold, eos)
+        assert eos is None or eos in want
+
+        calls = Counter()
+        real = specdec.forward
+
+        def counting(model, cache, tokens):
+            calls["forward"] += 1
+            return real(model, cache, tokens)
+
+        monkeypatch.setattr(specdec, "forward", counting)
+        leaf = specdec._Session(LevelSpec(model, threshold=threshold), 2, None)
+        stats = AcceptanceStats()
+        assert leaf.propose(context, n_max, stats, eos) == want
+        assert calls["forward"] == len(want)
+        assert (stats.proposed, stats.rounds, stats.log) == ({}, {}, [])
+
+    def test_leaf_level_has_no_round_rows(self, target, mx_draft, small_draft):
+        tree = SpecTree([LevelSpec(target, 4, 0.0), LevelSpec(mx_draft, 3, 0.0),
+                         LevelSpec(small_draft, 2, 0.0)])
+        res = speculative_generate(tree, [4, 5], 16)
+        assert {r.level for r in res.rounds} == {0, 1}
+        assert res.rounds == res.stats.log
+        greedy_only = speculative_generate(SpecTree([LevelSpec(target)]), [4], 8)
+        assert greedy_only.rounds == [] and len(greedy_only.tokens) == 8
 
 
 class TestStatsAndRounds:
