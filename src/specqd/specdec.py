@@ -2,20 +2,24 @@
 multi-level hierarchy.
 
 Level 0 is the target; level i+1 drafts for level i. Each level is a
-session with its own KV cache, and every level runs the same round; a leaf
+session over a KV cache, and every level runs the same round; a leaf
 drafts nothing. In a round the child proposes and the level's own model
-verifies. Verification is greedy: the longest proposed prefix matching the
-verifier's own argmax is accepted and the verifier's argmax at the first
-mismatch (or after a fully accepted prefix) is emitted as the bonus token.
-Because every model breaks argmax ties to the lowest token id, the
-target's stream is token-identical to plain greedy decoding of the target,
-up to and at its context limit.
+verifies. A draft that differs from its verifier only in linear weights,
+as a direct MXFP4 cast does, shares the verifier's cache, and no level
+reads a position that a descendant wrote. Verification is greedy: the
+longest proposed prefix matching the verifier's own argmax is accepted
+and the verifier's argmax at the first mismatch (or after a fully
+accepted prefix) is emitted as the bonus token. Because every model
+breaks argmax ties to the lowest token id, the target's stream is
+token-identical to plain greedy decoding of the target, up to and at its
+context limit.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,11 +52,21 @@ class LevelSpec:
             raise ValueError("confidence threshold must be in [0, 1]")
 
 
+def _differs_in_linears_only(a: TinyLmModel, b: TinyLmModel) -> bool:
+    """Whether ``b`` is ``a`` but for its linear weights: equal configs, and
+    embeddings and norms equal value for value, as in a direct cast."""
+    return a.config == b.config and all(
+        np.array_equal(x, y)
+        for x, y in zip(a.embeddings_and_norms(), b.embeddings_and_norms()))
+
+
 @dataclass
 class SpecTree:
-    """Ordered levels: [target, draft1, draft2, ...]. Empty draft list is greedy."""
+    """Ordered levels: [target, draft1, draft2, ...]. Empty draft list is greedy.
+    ``shares_cache[i]``: level i forwards over level i - 1's KV cache."""
 
     levels: list[LevelSpec]
+    shares_cache: list[bool] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.levels:
@@ -61,6 +75,9 @@ class SpecTree:
         for lv in self.levels[1:]:
             if lv.model.config.vocab_size != vocab:
                 raise ValueError("all levels must share one token-id space")
+        self.shares_cache = [False] + [
+            _differs_in_linears_only(a.model, b.model)
+            for a, b in zip(self.levels, self.levels[1:])]
 
     @property
     def target(self) -> TinyLmModel:
@@ -82,19 +99,30 @@ class RoundRecord:
 
 @dataclass
 class AcceptanceStats:
-    proposed: dict[int, int] = field(default_factory=dict)
-    accepted: dict[int, int] = field(default_factory=dict)
-    rounds: dict[int, int] = field(default_factory=dict)
-    model_time_s: dict[int, float] = field(default_factory=dict)
+    proposed: dict[int, int] = field(default_factory=Counter)
+    accepted: dict[int, int] = field(default_factory=Counter)
+    rounds: dict[int, int] = field(default_factory=Counter)
+    # Each level's forwards, the tokens they fed and their seconds.
+    forwards: dict[int, int] = field(default_factory=Counter)
+    tokens_fed: dict[int, int] = field(default_factory=Counter)
+    model_time_s: dict[int, float] = field(default_factory=Counter)
     log: list[RoundRecord] = field(default_factory=list)  # rounds with a child
 
     def record(self, level: int, proposed: int, accepted: int):
-        self.proposed[level] = self.proposed.get(level, 0) + proposed
-        self.accepted[level] = self.accepted.get(level, 0) + accepted
-        self.rounds[level] = self.rounds.get(level, 0) + 1
+        self.proposed[level] += proposed
+        self.accepted[level] += accepted
+        self.rounds[level] += 1
 
-    def add_time(self, level: int, seconds: float):
-        self.model_time_s[level] = self.model_time_s.get(level, 0.0) + seconds
+    def add_forward(self, level: int, tokens: int, seconds: float):
+        self.forwards[level] += 1
+        self.tokens_fed[level] += tokens
+        self.model_time_s[level] += seconds
+
+    def merge(self, other: "AcceptanceStats"):
+        """Add ``other``'s per-level counts and times, not its round log."""
+        for name in ("proposed", "accepted", "rounds", "forwards",
+                     "tokens_fed", "model_time_s"):
+            getattr(self, name).update(getattr(other, name))
 
     def alpha(self, level: int) -> float:
         prop = self.proposed.get(level, 0)
@@ -114,33 +142,45 @@ class GenerationResult:
 
 
 class _Session:
-    """One level's model plus its cache; the cache records the tokens it
-    covers, and the next forward feeds tokens right after them."""
+    """One level's model plus its cache, which a sharing child also writes;
+    the cache records the tokens it covers, and the next forward feeds
+    tokens right after them. ``committed`` is the cache's prefix written by
+    this level's forwards or an ancestor's, the only positions it reads."""
 
-    def __init__(self, spec: LevelSpec, level: int, child: "_Session | None"):
+    def __init__(self, spec: LevelSpec, level: int, child: "_Session | None",
+                 cache: KvCache):
         self.spec = spec
         self.level = level
         self.child = child
-        self.cache = KvCache.empty(spec.model.config)
+        self.cache = cache
+        self.committed = 0
 
     def _unfed(self, context: list[int]) -> list[int]:
-        """Roll the cache back to its longest prefix shared with
+        """Roll the cache back to its longest committed prefix shared with
         ``context[:-1]``; return the tokens of ``context`` it still lacks.
 
         The result always ends with ``context[-1]``, so the level's next
         forward feeds it along with the round's own tokens.
         """
-        fed = self.cache.tokens[:min(self.cache.length, len(context) - 1)]
+        fed = self.cache.tokens[:min(self.committed, len(context) - 1)]
         differ = np.flatnonzero(fed != context[:fed.size])
         common = int(differ[0]) if differ.size else fed.size
         if common < self.cache.length:
             rollback(self.cache, common)
         return context[common:]
 
+    def _commit(self):
+        """The cache's whole length becomes the committed prefix of this
+        level and of every descendant that shares the cache."""
+        s = self
+        while s is not None and s.cache is self.cache:
+            s.committed = self.cache.length
+            s = s.child
+
     def _timed_forward(self, tokens, stats: AcceptanceStats):
         t0 = time.perf_counter()
         logits = forward(self.spec.model, self.cache, tokens)
-        stats.add_time(self.level, time.perf_counter() - t0)
+        stats.add_forward(self.level, len(tokens), time.perf_counter() - t0)
         return logits
 
     def _unconfident(self, row, token: int) -> bool:
@@ -172,11 +212,19 @@ class _Session:
         At least the bonus token is always emitted.
         """
         t0 = time.perf_counter()
+        if self.child is not None and self.child.cache is self.cache:
+            # The child reads the context's keys and values from this
+            # level's forwards: all but the last token are fed first.
+            prefill = self._unfed(context)[:-1]
+            if prefill:
+                self._timed_forward(prefill, stats)
+                self._commit()
+        t1 = time.perf_counter()
         room = self.spec.model.config.max_seq_len - len(context)
         proposed = [] if self.child is None else self.child.propose(
             context, min(self.child.spec.spec_len, room), stats
         )
-        t1 = time.perf_counter()
+        t2 = time.perf_counter()
         unfed = self._unfed(context)
         # Row j of ``logits`` follows context plus proposed[:j].
         logits = self._timed_forward(unfed + proposed, stats)[len(unfed) - 1:]
@@ -188,12 +236,13 @@ class _Session:
         bonus = greedy_next(logits[accepted])
         # Drop cache entries of rejected proposals; bonus stays unprocessed.
         rollback(self.cache, len(context) + accepted)
+        self._commit()
         if proposed:
             stats.record(self.level + 1, len(proposed), accepted)
         if self.child is not None:
             stats.log.append(RoundRecord(
                 level=self.level, proposed=len(proposed), accepted=accepted,
-                draft_s=t1 - t0, verify_s=time.perf_counter() - t1,
+                draft_s=t2 - t1, verify_s=time.perf_counter() - t2 + t1 - t0,
             ))
         emitted = proposed[:accepted] + [bonus]
         # Confidence stop applies to this level's own output stream.
@@ -207,14 +256,17 @@ class _Session:
 
 
 def build_sessions(tree: SpecTree) -> _Session:
-    """The target's session, linked to its drafts'. The target's output is
-    the answer, so it never stops on confidence (threshold 0)."""
+    """The target's session, linked to its drafts'; a level takes the cache
+    of a child that shares it. The target's output is the answer, so it
+    never stops on confidence (threshold 0)."""
     child = None
     for level in range(tree.depth, -1, -1):
         spec = tree.levels[level]
         if level == 0:
             spec = replace(spec, threshold=0.0)
-        child = _Session(spec, level, child)
+        cache = (child.cache if child is not None and tree.shares_cache[level + 1]
+                 else KvCache.empty(spec.model.config))
+        child = _Session(spec, level, child, cache)
     return child
 
 
@@ -293,7 +345,7 @@ class BenchmarkReport:
     geomean_speedup: float | None  # None when no prompt did
     alpha_rows: list[tuple[int, int, float]]  # (prompt index, level, alpha)
     per_level_alpha: dict[int, float]
-    per_level_model_s: dict[int, float]  # forward seconds, summed over prompts
+    totals: AcceptanceStats  # counts and forward seconds, summed over prompts
     total_tokens: int
     greedy_seconds: float
     spec_seconds: float
@@ -302,9 +354,9 @@ class BenchmarkReport:
         return {
             "geomean_speedup": self.geomean_speedup,
             "per_level_alpha": {str(k): v for k, v in self.per_level_alpha.items()},
-            "per_level_model_s": {
-                str(k): v for k, v in sorted(self.per_level_model_s.items())
-            },
+            "per_level_model_s": _by_level(self.totals.model_time_s),
+            "per_level_forwards": _by_level(self.totals.forwards),
+            "per_level_tokens_fed": _by_level(self.totals.tokens_fed),
             "total_tokens": self.total_tokens,
             "greedy_seconds": self.greedy_seconds,
             "spec_seconds": self.spec_seconds,
@@ -312,6 +364,10 @@ class BenchmarkReport:
 
     def summary_json(self) -> str:
         return json.dumps(self.summary_dict(), indent=2)
+
+
+def _by_level(values: dict) -> dict:
+    return {str(k): v for k, v in sorted(values.items())}
 
 
 def run_benchmark(tree: SpecTree, prompts, max_new: int,
@@ -339,10 +395,7 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
         total_tokens += len(spec.tokens)
         for level in spec.stats.levels():
             alpha_rows.append((pi, level, spec.stats.alpha(level)))
-            agg.proposed[level] = agg.proposed.get(level, 0) + spec.stats.proposed[level]
-            agg.accepted[level] = agg.accepted.get(level, 0) + spec.stats.accepted[level]
-        for level, seconds in spec.stats.model_time_s.items():
-            agg.add_time(level, seconds)
+        agg.merge(spec.stats)
     per_level = {lv: agg.alpha(lv) for lv in agg.levels()}
     return BenchmarkReport(
         results=results,
@@ -351,7 +404,7 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
                          else geomean(speedups) if tree.depth else 1.0),
         alpha_rows=alpha_rows,
         per_level_alpha=per_level,
-        per_level_model_s=agg.model_time_s,
+        totals=agg,
         total_tokens=total_tokens,
         greedy_seconds=greedy_total,
         spec_seconds=spec_total,

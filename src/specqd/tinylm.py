@@ -163,6 +163,11 @@ class TinyLmModel:
     def linear_weight_bytes(self) -> int:
         return sum(lw.storage_bytes() for lw in self.all_linears())
 
+    def embeddings_and_norms(self) -> list[np.ndarray]:
+        """Every weight outside the linears, in a fixed order."""
+        return [self.tok_emb, self.pos_emb, self.final_ln_g, self.final_ln_b] + [
+            a for ly in self.layers for a in (ly.ln1_g, ly.ln1_b, ly.ln2_g, ly.ln2_b)]
+
 
 @dataclass
 class KvCache:
@@ -465,10 +470,7 @@ def model_checksum(model: TinyLmModel) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    arrays = [model.tok_emb, model.pos_emb, model.final_ln_g, model.final_ln_b]
-    for layer in model.layers:
-        arrays += [layer.ln1_g, layer.ln1_b, layer.ln2_g, layer.ln2_b]
-    for a in arrays:
+    for a in model.embeddings_and_norms():
         h.update(np.ascontiguousarray(a).tobytes())
     for lw in model.all_linears():
         w = lw.weight

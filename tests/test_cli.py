@@ -127,6 +127,22 @@ class TestGenerate:
         assert acc[0] == "prompt,level,alpha"
         assert len(acc) == 4  # 3 prompts x 1 draft level
 
+    def test_summary_counts_forwards(self, models, tmp_path, capsys):
+        target, draft, prompts = models
+        out_dir = tmp_path / "spec"
+        assert main(["generate", "--target", str(target), "--draft", str(draft),
+                     "--prompts", str(prompts), "--max-new", "12",
+                     "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        forwards = summary["per_level_forwards"]
+        fed = summary["per_level_tokens_fed"]
+        assert set(forwards) == set(fed) == {"0", "1"}
+        # The cast shares the target's cache, so it feeds only the token
+        # it drafts from.
+        assert fed["1"] == forwards["1"] > 0
+        # The target prefills and verifies several tokens per forward.
+        assert fed["0"] > forwards["0"] > 0
+
     def test_lossless_flag_output_matches_greedy(self, models, tmp_path, capsys):
         target, draft, prompts = models
         rc1 = main(["generate", "--target", str(target), "--prompts",

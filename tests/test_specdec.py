@@ -1,10 +1,11 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from specqd import specdec
+from specqd import artifacts, specdec
 from specqd.specdec import (
     DEFAULT_SPEC_LEN,
     DEFAULT_THRESHOLD,
@@ -262,7 +263,8 @@ class TestLeafRound:
             return real(model, cache, tokens)
 
         monkeypatch.setattr(specdec, "forward", counting)
-        leaf = specdec._Session(LevelSpec(model, threshold=threshold), 2, None)
+        leaf = specdec._Session(LevelSpec(model, threshold=threshold), 2, None,
+                                KvCache.empty(model.config))
         stats = AcceptanceStats()
         assert leaf.propose(context, n_max, stats, eos) == want
         assert calls["forward"] == len(want)
@@ -312,10 +314,11 @@ class TestForwardCount:
 
     # ``before``: forwards on this tree when a level synced its cache with a
     # forward of its own before each round's forward. ``stats``: total
-    # proposed, accepted and rounds at level 1, unchanged since.
+    # proposed, accepted and rounds at level 1 since the draft reads the
+    # target's keys and values, which changes its proposals.
     @pytest.mark.parametrize("threshold,before,stats", [
-        (0.0, 226, (172, 57, 43)),
-        (0.4, 159, (61, 35, 61)),
+        (0.0, 226, (152, 62, 38)),
+        (0.4, 159, (59, 37, 59)),
     ])
     def test_sync_folded_into_round_forward(self, target, mx_draft, monkeypatch,
                                             threshold, before, stats):
@@ -337,11 +340,123 @@ class TestForwardCount:
             accepted += res.stats.accepted[1]
             rounds += res.stats.rounds[1]
         assert (proposed, accepted, rounds) == stats
-        # One forward per target round and per drafted token: the unfed
-        # tail of the context rides along with the round's own tokens.
-        assert calls[id(target)] == rounds
+        # One target forward per round, plus one prefill of a prompt longer
+        # than one token before the first draft; one draft forward per
+        # drafted token: the unfed tail of the context rides along with the
+        # round's own tokens.
+        prefills = sum(len(p) > 1 for p in self.PROMPTS)
+        assert calls[id(target)] == rounds + prefills
         assert calls[id(mx_draft)] == proposed
         assert sum(calls.values()) < before
+
+
+def fresh_linears(model, seed):
+    """``model`` with the linear weights of another seed's model: it keeps
+    the embeddings and norms, so it shares ``model``'s cache in a tree, but
+    it drafts badly."""
+    other = init_seeded(model.config, seed)
+    layers = [replace(mine, wq=theirs.wq, wk=theirs.wk, wv=theirs.wv,
+                      wo=theirs.wo, w_up=theirs.w_up, w_down=theirs.w_down)
+              for mine, theirs in zip(model.layers, other.layers)]
+    return replace(model, layers=layers, w_out=other.w_out)
+
+
+class TestSharedCache:
+    def test_rule(self, target, mx_draft, small_draft, tmp_path):
+        def shares(*models):
+            return SpecTree([LevelSpec(m) for m in models]).shares_cache
+
+        assert shares(target) == [False]
+        assert shares(target, mx_draft, small_draft) == [False, True, False]
+        assert shares(target, fresh_linears(target, 5)) == [False, True]
+        # An equal config is not enough: another seed has other embeddings.
+        other = init_seeded(CFG, 7)
+        assert shares(target, other) == [False, False]
+        assert shares(target, direct_cast_mxfp4(other)) == [False, False]
+        # A cast read back from disk still shares, with its source read back
+        # or in memory.
+        artifacts.save_model(tmp_path / "t.bin", target)
+        artifacts.save_model(tmp_path / "d.bin", mx_draft)
+        loaded = [artifacts.load_model(tmp_path / f) for f in ("t.bin", "d.bin")]
+        assert shares(*loaded) == [False, True]
+        assert shares(target, loaded[1]) == [False, True]
+
+    def test_cast_feeds_one_token_per_forward(self, target, mx_draft,
+                                              monkeypatch):
+        fed = []
+        real = specdec.forward
+
+        def recording(model, cache, tokens):
+            fed.append((model, cache.length, len(tokens)))
+            return real(model, cache, tokens)
+
+        monkeypatch.setattr(specdec, "forward", recording)
+        for threshold in (0.0, 0.4):
+            tree = two_level(target, mx_draft, n=4, threshold=threshold)
+            for prompt in ([7, 40, 99, 5], [1, 2]):
+                fed.clear()
+                res = speculative_generate(tree, prompt, 32)
+                draft = [(pos, n) for m, pos, n in fed if m is mx_draft]
+                assert draft and all(n == 1 for _, n in draft)
+                assert min(pos for pos, _ in draft) == len(prompt) - 1
+                # The target alone prefills, before the first draft.
+                assert fed[0] == (target, 0, len(prompt) - 1)
+                stats = res.stats
+                assert (stats.forwards[1] == stats.tokens_fed[1]
+                        == stats.proposed[1] == len(draft))
+
+    def test_target_logits_byte_identical(self, target, monkeypatch):
+        tree = two_level(target, fresh_linears(target, 5), n=4)
+        rows = []
+        real = specdec.forward
+
+        def recording(model, cache, tokens):
+            logits = real(model, cache, tokens)
+            if model is target:
+                rows.append((cache.tokens[:cache.length].tolist(), logits))
+            return logits
+
+        monkeypatch.setattr(specdec, "forward", recording)
+        prompt = [3, 1, 4, 1, 5]
+        res = speculative_generate(tree, prompt, 40)
+        seq = prompt + res.tokens
+        want = forward(target, KvCache.empty(CFG), seq[:-1])
+        checked = 0
+        for fed, logits in rows:
+            start = len(fed) - len(logits)
+            for i, row in enumerate(logits):
+                if fed[:start + i + 1] == seq[:start + i + 1]:
+                    assert np.array_equal(row, want[start + i])
+                    checked += 1
+        assert checked == len(seq) - 1
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("threshold", [0.0, 0.03])
+    @pytest.mark.parametrize("with_eos", [False, True])
+    def test_bad_sharing_draft_is_lossless(self, depth, threshold, with_eos):
+        target = init_seeded(LIMIT, 0)
+        bad = fresh_linears(target, 5)
+        tree = SpecTree([LevelSpec(target), LevelSpec(bad, 4, threshold),
+                         LevelSpec(direct_cast_mxfp4(bad), 2, threshold)
+                         ][:depth + 1])
+        assert tree.shares_cache == [False] + [True] * depth
+        max_len = LIMIT.max_seq_len
+        proposed = accepted = 0
+        # Prompts below, at and one past the context limit.
+        for n in range(1, max_len + 2):
+            prompt = [(7 * i + 3) % 64 for i in range(n)]
+            base = greedy_generate(target, prompt, max_len)
+            eos = None
+            if with_eos and base.tokens:
+                eos = base.tokens[len(base.tokens) // 2]
+                base = greedy_generate(target, prompt, max_len, eos=eos)
+            spec = speculative_generate(tree, prompt, max_len, eos=eos)
+            assert (spec.tokens, spec.truncated) == (base.tokens, base.truncated), n
+            proposed += spec.stats.proposed.get(1, 0)
+            accepted += spec.stats.accepted.get(1, 0)
+        # The draft wrote proposals past the target's positions that the
+        # target rejected.
+        assert accepted < proposed
 
 
 class TestConfidenceSkip:
@@ -406,6 +521,13 @@ class TestBenchmark:
         for level, seconds in got.items():
             assert seconds == pytest.approx(sum(
                 r.stats.model_time_s[int(level)] for r in rep.results))
+        summary = rep.summary_dict()
+        for key, field in (("per_level_forwards", "forwards"),
+                           ("per_level_tokens_fed", "tokens_fed")):
+            assert summary[key] == {
+                str(level): sum(getattr(r.stats, field)[level]
+                                for r in rep.results)
+                for level in range(3)}
 
     def test_empty_prompt_set(self, target, mx_draft):
         with pytest.raises(ValueError):
