@@ -13,8 +13,8 @@ Tensor section layout (little-endian throughout):
             column index), then rows * padded_cols / 32 scale bytes
 
 Model files are a b"SQDM" header, a length-prefixed UTF-8 key=value config
-block, then named tensor sections. Every failure mode raises a typed error
-and never yields a partial object.
+block, then the model's named tensor sections, each once. Every failure mode
+raises a typed error and never yields a partial object.
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ class MissingSection(ArtifactError):
 
 class BadConfig(ArtifactError):
     """The model file's config block does not describe a valid LmConfig."""
+
+
+class BadPayload(ArtifactError):
+    """A tensor payload holds a value its format reserves."""
 
 
 def _read_exact(stream, n: int) -> bytes:
@@ -138,6 +142,8 @@ def load_tensor(stream):
     scales = np.frombuffer(
         _read_exact(stream, rows * padded // BLOCK_SIZE), dtype=np.uint8
     ).reshape(rows, padded // BLOCK_SIZE).copy()
+    if (scales == 0xFF).any():
+        raise BadPayload("mxfp4 scale byte 0xFF, which E8M0 reserves for NaN")
     return MxfpTensor(rows, cols, codes, scales)
 
 
@@ -153,8 +159,6 @@ def load_tensor_file(path):
 
 _CONFIG_KEYS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff",
                 "max_seq_len", "norm_epsilon")
-# The paths a model's MXFP4 linears can run on.
-_MODEL_GEMM_PATHS = ("int8", "latescale_f32")
 
 
 def _model_tensor_items(model: TinyLmModel):
@@ -175,9 +179,7 @@ def _model_tensor_items(model: TinyLmModel):
 def save_model(path, model: TinyLmModel):
     buf = io.BytesIO()
     cfg = model.config
-    lines = [f"{k}={getattr(cfg, k)!r}" for k in _CONFIG_KEYS]
-    lines.append(f"gemm_path={model.gemm_path!r}")
-    config_blob = "\n".join(lines).encode()
+    config_blob = "\n".join(f"{k}={getattr(cfg, k)!r}" for k in _CONFIG_KEYS).encode()
     buf.write(MODEL_MAGIC)
     buf.write(struct.pack("<HI", VERSION, len(config_blob)))
     buf.write(config_blob)
@@ -191,16 +193,15 @@ def save_model(path, model: TinyLmModel):
     Path(path).write_bytes(buf.getvalue())
 
 
-def _parse_config(blob: bytes) -> tuple[LmConfig, str]:
-    """The config block's LmConfig and GEMM path; ``BadConfig`` if a value
-    does not parse or has the wrong type, or the fields do not make a
-    valid LmConfig."""
+def _parse_config(blob: bytes) -> LmConfig:
+    """The config block's LmConfig; ``BadConfig`` if a value does not parse
+    or has the wrong type, or the fields do not make a valid LmConfig."""
     try:
         fields = {}
         for line in blob.decode().splitlines():
             key, _, value = line.partition("=")
             fields[key] = ast.literal_eval(value)
-        gemm_path = fields.pop("gemm_path", "int8")
+        legacy = fields.pop("gemm_path", "int8")  # older files name the kernel
         config = LmConfig(**fields)
     except (SyntaxError, ValueError, TypeError) as exc:
         raise BadConfig(f"bad model config block: {exc}") from exc
@@ -208,9 +209,9 @@ def _parse_config(blob: bytes) -> tuple[LmConfig, str]:
         value = getattr(config, key)
         if type(value) not in ((int, float) if key == "norm_epsilon" else (int,)):
             raise BadConfig(f"bad model config block: {key}={value!r} has the wrong type")
-    if gemm_path not in _MODEL_GEMM_PATHS:
-        raise BadConfig(f"bad model config block: unknown gemm_path {gemm_path!r}")
-    return config, gemm_path
+    if legacy != "int8":
+        raise BadConfig(f"bad model config block: unknown gemm_path {legacy!r}")
+    return config
 
 
 def load_model(path) -> TinyLmModel:
@@ -221,12 +222,15 @@ def load_model(path) -> TinyLmModel:
         version, cfg_len = struct.unpack("<HI", _read_exact(fh, 6))
         if version != VERSION:
             raise VersionMismatch(f"model version {version}, expected {VERSION}")
-        config, gemm_path = _parse_config(_read_exact(fh, cfg_len))
+        config = _parse_config(_read_exact(fh, cfg_len))
         (n_sections,) = struct.unpack("<I", _read_exact(fh, 4))
         tensors = {}
         for _ in range(n_sections):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode()
+            # A name that is not UTF-8 names no section of the model.
+            name = _read_exact(fh, name_len).decode(errors="backslashreplace")
+            if name in tensors:
+                raise ShapeMismatch(f"model file repeats tensor {name!r}")
             tensors[name] = load_tensor(fh)
 
     def take(name, vector=False):
@@ -261,7 +265,7 @@ def load_model(path) -> TinyLmModel:
             w_up=linear(f"layer{i}.w_up", config.d_ff, d),
             w_down=linear(f"layer{i}.w_down", d, config.d_ff),
         ))
-    return TinyLmModel(
+    model = TinyLmModel(
         config=config,
         tok_emb=tok,
         pos_emb=pos,
@@ -269,8 +273,11 @@ def load_model(path) -> TinyLmModel:
         final_ln_g=take("final_ln_g", vector=True),
         final_ln_b=take("final_ln_b", vector=True),
         w_out=linear("w_out", config.vocab_size, d),
-        gemm_path=gemm_path,
     )
+    if tensors:
+        raise ShapeMismatch(f"model file has tensors its config does not use: "
+                            f"{', '.join(tensors)}")
+    return model
 
 
 def load_prompts(path, byte_mode: bool = False) -> list[list[int]]:

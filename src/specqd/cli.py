@@ -42,7 +42,7 @@ def cmd_model_init(args) -> int:
 def cmd_quantize(args) -> int:
     model = artifacts.load_model(args.model)
     before = model.linear_weight_bytes()
-    cast = tinylm.direct_cast_mxfp4(model, gemm_path=args.gemm_path)
+    cast = tinylm.direct_cast_mxfp4(model)
     after = cast.linear_weight_bytes()
     artifacts.save_model(args.out, cast)
     print(f"wrote {args.out} linear-bytes {before} -> {after} "
@@ -60,8 +60,6 @@ def _load_tree(args) -> specdec.SpecTree:
     levels = []
     for i, path in enumerate(paths):
         model = artifacts.load_model(path)
-        if args.gemm_path and model.is_quantized:
-            model.gemm_path = args.gemm_path
         if args.slowdown_per_mb:
             model.forward_penalty_s = (
                 model.linear_weight_bytes() / 1e6 * args.slowdown_per_mb
@@ -89,7 +87,7 @@ def cmd_generate(args) -> int:
 
     _write(out_dir / "summary.json", report.summary_json() + "\n")
     _write(out_dir / "rounds.csv", specdec.rounds_csv(
-        [r for res in report.results for r in res.rounds]))
+        [r for res in report.results for r in res.stats.log]))
     _write(out_dir / "acceptance.csv", specdec.acceptance_csv(report.alpha_rows))
     speedup = report.geomean_speedup
     shown = "n/a" if speedup is None else f"{speedup:.3f}x"
@@ -159,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", help="MXFP4 direct-cast of a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gemm-path", choices=("int8", "latescale_f32"),
-                   default="int8")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("generate",
@@ -178,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat prompt lines as raw text (byte tokenizer)")
     p.add_argument("--eos", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--gemm-path", choices=("int8", "latescale_f32"),
-                   default=None)
     p.add_argument("--slowdown-per-mb", type=float, default=0.0,
                    help="per-forward sleep in seconds per MB of linear "
                         "weights, emulating a bandwidth-bound host")
@@ -223,7 +217,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, artifacts.ArtifactError, specdec.LosslessnessError,
-            ValueError, OSError) as exc:
+            ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

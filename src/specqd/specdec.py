@@ -136,7 +136,6 @@ class AcceptanceStats:
 class GenerationResult:
     tokens: list[int]
     seconds: float
-    rounds: list[RoundRecord] = field(default_factory=list)
     stats: AcceptanceStats = field(default_factory=AcceptanceStats)
     truncated: bool = False
 
@@ -323,8 +322,8 @@ def speculative_generate(tree: SpecTree, prompt, max_new: int,
         out = out[: out.index(eos) + 1]
     # Short of max_new without EOS means the context ran out, as in greedy.
     truncated = len(out) < max_new and eos not in out
-    return GenerationResult(out, time.perf_counter() - t0,
-                            rounds=stats.log, stats=stats, truncated=truncated)
+    return GenerationResult(out, time.perf_counter() - t0, stats=stats,
+                            truncated=truncated)
 
 
 def geomean(values) -> float:

@@ -1,9 +1,9 @@
 """Deterministic desk-scale decoder-only transformer.
 
 Pre-norm blocks with learned absolute positions and a GELU MLP. Every
-linear layer routes through the qgemm kernels, so swapping a model's linear
-weights for their MXFP4 direct cast is a one-call transformation and the
-quantized model exercises exactly the late-scaling / int8 paths.
+linear layer runs on the qgemm kernel of its weight's kind, ``gemm_reference``
+or ``gemm_mxfp4_int8``, so swapping a model's linear weights for their MXFP4
+direct cast is a one-call transformation with nothing to tune.
 
 Forward passes are bit-deterministic: every reduction for a position is
 either exact on BLAS (the float GEMM and attention, see ``_attention``)
@@ -85,7 +85,7 @@ class LinearWeight:
             return self
         return LinearWeight(quantize_direct_cast(self.weight))
 
-    def _operand(self, x: np.ndarray, gemm_path: str):
+    def _operand(self, x: np.ndarray):
         """The GEMM's right-hand side for x of shape (n_tokens, in_features)."""
         a = np.ascontiguousarray(x.T)
         if not self.is_quantized:
@@ -93,11 +93,9 @@ class LinearWeight:
         pad = self.weight.padded_cols - a.shape[0]
         if pad:
             a = np.pad(a, ((0, pad), (0, 0)))
-        if gemm_path == "latescale_f32":
-            return a
         return qgemm.quantize_activations(a)
 
-    def apply(self, x: np.ndarray, gemm_path: str, n_threads: int | None = None,
+    def apply(self, x: np.ndarray, n_threads: int | None = None,
               operands: dict | None = None) -> np.ndarray:
         """y = x @ W.T for x of shape (n_tokens, in_features).
 
@@ -107,16 +105,14 @@ class LinearWeight:
         quantize it once.
         """
         if operands is None:
-            a = self._operand(x, gemm_path)
+            a = self._operand(x)
         else:
             key = (self.is_quantized, self.shape[1])
             if key not in operands:
-                operands[key] = self._operand(x, gemm_path)
+                operands[key] = self._operand(x)
             a = operands[key]
         if not self.is_quantized:
             return qgemm.gemm_reference(self.weight, a).T
-        if gemm_path == "latescale_f32":
-            return qgemm.gemm_mxfp4_latescale_f32(self.weight, a, n_threads).T
         return qgemm.gemm_mxfp4_int8(self.weight, a, n_threads).T
 
 
@@ -143,8 +139,6 @@ class TinyLmModel:
     final_ln_g: np.ndarray
     final_ln_b: np.ndarray
     w_out: LinearWeight
-    # GEMM path for MXFP4 linears: "int8" (default) or "latescale_f32".
-    gemm_path: str = "int8"
     # Optional per-forward sleep, used to emulate a bandwidth-bound host
     # where wall time tracks streamed weight bytes.
     forward_penalty_s: float = 0.0
@@ -152,6 +146,10 @@ class TinyLmModel:
     @property
     def is_quantized(self) -> bool:
         return self.w_out.is_quantized
+
+    @property
+    def gemm_path(self) -> str:
+        return "int8" if self.is_quantized else "reference"
 
     def all_linears(self) -> list[LinearWeight]:
         out = []
@@ -246,7 +244,7 @@ def init_seeded(config: LmConfig, seed: int) -> TinyLmModel:
     )
 
 
-def direct_cast_mxfp4(m: TinyLmModel, gemm_path: str = "int8") -> TinyLmModel:
+def direct_cast_mxfp4(m: TinyLmModel) -> TinyLmModel:
     """Replace every 2-D linear weight by its MXFP4 direct cast.
 
     Embeddings, norms and architecture are untouched; casting an already
@@ -261,7 +259,7 @@ def direct_cast_mxfp4(m: TinyLmModel, gemm_path: str = "int8") -> TinyLmModel:
         )
         for layer in m.layers
     ]
-    return replace(m, layers=layers, w_out=m.w_out.quantized(), gemm_path=gemm_path)
+    return replace(m, layers=layers, w_out=m.w_out.quantized())
 
 
 def _layer_norm(x, g, b, eps):
@@ -432,20 +430,17 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
     for li, layer in enumerate(model.layers):
         h = _layer_norm(x, layer.ln1_g, layer.ln1_b, cfg.norm_epsilon)
         operands = {}  # wq, wk and wv read the same h
-        q, k, v = (
-            lw.apply(h, model.gemm_path, threads, operands).reshape(n, cfg.n_heads, -1)
-            for lw in (layer.wq, layer.wk, layer.wv)
-        )
+        q, k, v = (lw.apply(h, threads, operands).reshape(n, cfg.n_heads, -1)
+                   for lw in (layer.wq, layer.wk, layer.wv))
         ctx = _attention(q, k, v, cache, li, start)
-        attn = layer.wo.apply(ctx.reshape(n, cfg.d_model), model.gemm_path, threads)
-        x = x + attn
+        x = x + layer.wo.apply(ctx.reshape(n, cfg.d_model), threads)
 
         h = _layer_norm(x, layer.ln2_g, layer.ln2_b, cfg.norm_epsilon)
-        up = _gelu(layer.w_up.apply(h, model.gemm_path, threads))
-        x = x + layer.w_down.apply(up, model.gemm_path, threads)
+        up = _gelu(layer.w_up.apply(h, threads))
+        x = x + layer.w_down.apply(up, threads)
 
     h = _layer_norm(x, model.final_ln_g, model.final_ln_b, cfg.norm_epsilon)
-    logits = model.w_out.apply(h, model.gemm_path, threads)
+    logits = model.w_out.apply(h, threads)
     cache.tokens[start:end] = tokens
     cache.length = end
     return logits

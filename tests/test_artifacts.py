@@ -7,6 +7,7 @@ import pytest
 from specqd.artifacts import (
     BadConfig,
     BadMagic,
+    BadPayload,
     MissingSection,
     ShapeMismatch,
     TruncatedPayload,
@@ -90,6 +91,16 @@ class TestTensorRoundtrip:
         with pytest.raises(TruncatedPayload):
             load_tensor(io.BytesIO(buf.getvalue()[:-3]))
 
+    def test_mxfp4_rejects_nan_scale(self):
+        # E8M0 reserves 0xFF for NaN; block_scale_exponents never writes it.
+        buf = io.BytesIO()
+        save_tensor(buf, quantize_direct_cast(np.ones((2, BLOCK_SIZE))))
+        data = bytearray(buf.getvalue())
+        assert data[-1] == 125  # the last block's scale, 2^-2
+        data[-1] = 0xFF
+        with pytest.raises(BadPayload):
+            load_tensor(io.BytesIO(bytes(data)))
+
     @pytest.mark.parametrize("tag", [0, 7])
     def test_mxfp4_rejects_other_layouts(self, tag):
         buf = io.BytesIO()
@@ -130,12 +141,27 @@ class TestTensorRoundtrip:
             load_tensor_file(p)
 
 
+def _rewrite_config(path, model, edit):
+    """Save ``model`` to ``path`` with ``edit`` applied to its config text."""
+    save_model(path, model)
+    data = path.read_bytes()
+    # Magic, u16 version, u32 config length, then the config block.
+    (cfg_len,) = struct.unpack("<I", data[6:10])
+    text = data[10:10 + cfg_len].decode()
+    blob = edit(text).encode()
+    assert blob != text.encode()
+    path.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob
+                     + data[10 + cfg_len:])
+
+
 class TestModelRoundtrip:
     def test_float_model_bit_exact(self, tmp_path):
         m = init_seeded(CFG, 5)
         p = tmp_path / "m.bin"
         save_model(p, m)
-        assert model_checksum(load_model(p)) == model_checksum(m)
+        got = load_model(p)
+        assert got.gemm_path == "reference"
+        assert model_checksum(got) == model_checksum(m)
 
     def test_quantized_model_bit_exact(self, tmp_path):
         q = direct_cast_mxfp4(init_seeded(CFG, 6))
@@ -187,26 +213,57 @@ class TestModelRoundtrip:
         with pytest.raises(MissingSection):
             load_model(p)
 
+    def test_section_name_not_utf8(self, tmp_path):
+        p = tmp_path / "m.bin"
+        save_model(p, init_seeded(CFG, 8))
+        data = bytearray(p.read_bytes())
+        data[data.find(b"tok_emb")] = 0xFF
+        p.write_bytes(bytes(data))
+        with pytest.raises(MissingSection, match="tok_emb"):
+            load_model(p)
+
+    def test_repeated_section(self, tmp_path):
+        p = tmp_path / "m.bin"
+        save_model(p, init_seeded(CFG, 8))
+        data = p.read_bytes()
+        # The section count follows the config block.
+        at = 10 + struct.unpack("<I", data[6:10])[0]
+        (n_sections,) = struct.unpack("<I", data[at:at + 4])
+        extra = io.BytesIO()
+        extra.write(struct.pack("<H", len(b"final_ln_g")) + b"final_ln_g")
+        save_tensor(extra, np.zeros((1, CFG.d_model)))
+        p.write_bytes(data[:at] + struct.pack("<I", n_sections + 1)
+                      + data[at + 4:] + extra.getvalue())
+        with pytest.raises(ShapeMismatch, match="repeats tensor 'final_ln_g'"):
+            load_model(p)
+
+    def test_sections_beyond_config(self, tmp_path):
+        # Two layers' sections under a one-layer config.
+        p = tmp_path / "m.bin"
+        _rewrite_config(p, init_seeded(CFG, 8),
+                        lambda text: text.replace("n_layers=2", "n_layers=1"))
+        with pytest.raises(ShapeMismatch, match="layer1.wq"):
+            load_model(p)
+
+    def test_legacy_gemm_path_line(self, tmp_path):
+        # Files written before the weights alone picked the kernel say int8.
+        for m in (init_seeded(CFG, 11), direct_cast_mxfp4(init_seeded(CFG, 11))):
+            p = tmp_path / "m.bin"
+            _rewrite_config(p, m, lambda text: text + "\ngemm_path='int8'")
+            assert model_checksum(load_model(p)) == model_checksum(m)
+
     @pytest.mark.parametrize("edit", [
         lambda text: text.replace("d_model=32", "d_model="),  # no value
         lambda text: text + "\nfoo=1",  # unknown key
         lambda text: text.replace("d_model=32", "d_model='x'"),  # wrong type
         lambda text: text.replace("d_model=32", "d_model=32.0"),
         lambda text: text.replace("norm_epsilon=1e-05", "norm_epsilon='x'"),
-        lambda text: text.replace("gemm_path='int8'", "gemm_path='fp8'"),
+        lambda text: text + "\ngemm_path='latescale_f32'",
     ], ids=["empty-value", "unknown-key", "wrong-type", "float-dimension",
             "text-epsilon", "unknown-gemm-path"])
     def test_corrupt_config_block(self, tmp_path, edit):
         p = tmp_path / "m.bin"
-        save_model(p, init_seeded(CFG, 10))
-        data = p.read_bytes()
-        # Magic, u16 version, u32 config length, then the config block.
-        (cfg_len,) = struct.unpack("<I", data[6:10])
-        text = data[10:10 + cfg_len].decode()
-        blob = edit(text).encode()
-        assert blob != text.encode()
-        p.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob
-                      + data[10 + cfg_len:])
+        _rewrite_config(p, init_seeded(CFG, 10), edit)
         with pytest.raises(BadConfig):
             load_model(p)
 

@@ -37,6 +37,15 @@ class TestModelInit:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unallocatable_model_returns_1(self, tmp_path, capsys):
+        # numpy refuses a 45.5 PiB position table before allocating any of it.
+        out = tmp_path / "x.bin"
+        rc = main(["model-init", "--max-seq-len", "100000000000000",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestQuantize:
     def test_reduction_reported(self, models, tmp_path, capsys):
@@ -50,7 +59,22 @@ class TestQuantize:
     def test_quantized_file_loads(self, models):
         _, draft, _ = models
         m = artifacts.load_model(draft)
-        assert m.is_quantized
+        assert m.is_quantized and m.gemm_path == "int8"
+        assert b"gemm_path" not in draft.read_bytes()
+
+    @pytest.mark.parametrize("command", ["quantize", "generate"])
+    def test_no_gemm_path_flag(self, models, tmp_path, capsys, command):
+        # The weights' kind alone picks the kernel.
+        target, _, prompts = models
+        argv = {
+            "quantize": ["quantize", "--model", str(target)],
+            "generate": ["generate", "--target", str(target),
+                         "--prompts", str(prompts)],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o"), "--gemm-path", "int8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --gemm-path" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["quantize", "generate"])
     def test_corrupt_config_returns_1(self, models, tmp_path, capsys, command):
@@ -228,6 +252,13 @@ class TestGemmBench:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "path,M,N,K,bytes,seconds,gbps"
         assert len(lines) == 3
+
+    def test_latescale_path(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        rc = main(["gemm-bench", "--m", "64", "--k", "64", "--n", "1",
+                   "--paths", "latescale_f32", "--reps", "3", "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().splitlines()[1].startswith("latescale_f32,64,1,64,")
 
     def test_bad_shape(self, tmp_path, capsys):
         rc = main(["gemm-bench", "--m", "8", "--k", "33",

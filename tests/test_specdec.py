@@ -274,17 +274,16 @@ class TestLeafRound:
         tree = SpecTree([LevelSpec(target, 4, 0.0), LevelSpec(mx_draft, 3, 0.0),
                          LevelSpec(small_draft, 2, 0.0)])
         res = speculative_generate(tree, [4, 5], 16)
-        assert {r.level for r in res.rounds} == {0, 1}
-        assert res.rounds == res.stats.log
+        assert {r.level for r in res.stats.log} == {0, 1}
         greedy_only = speculative_generate(SpecTree([LevelSpec(target)]), [4], 8)
-        assert greedy_only.rounds == [] and len(greedy_only.tokens) == 8
+        assert greedy_only.stats.log == [] and len(greedy_only.tokens) == 8
 
 
 class TestStatsAndRounds:
     def test_round_accounting(self, target, mx_draft):
         tree = two_level(target, mx_draft, n=4)
         res = speculative_generate(tree, [1], 20)
-        lvl0 = [r for r in res.rounds if r.level == 0]
+        lvl0 = [r for r in res.stats.log if r.level == 0]
         assert lvl0, "expected at least one top-level round"
         for r in lvl0:
             assert 0 <= r.accepted <= r.proposed <= 4
@@ -483,7 +482,7 @@ class TestConfidenceSkip:
             results = [speculative_generate(tree, p, 24) for p in self.PROMPTS]
             return calls["softmax"], [
                 (r.tokens, r.stats.proposed, r.stats.accepted, r.stats.rounds,
-                 [(x.level, x.proposed, x.accepted) for x in r.rounds])
+                 [(x.level, x.proposed, x.accepted) for x in r.stats.log])
                 for r in results
             ]
 
