@@ -194,14 +194,19 @@ def save_model(path, model: TinyLmModel):
 
 
 def _parse_config(blob: bytes) -> LmConfig:
-    """The config block's LmConfig; ``BadConfig`` if a value does not parse
-    or has the wrong type, or the fields do not make a valid LmConfig."""
+    """The config block's LmConfig; ``BadConfig`` if a key repeats or is
+    missing, a value does not parse or has the wrong type, or the fields do
+    not make a valid LmConfig."""
     try:
         fields = {}
         for line in blob.decode().splitlines():
             key, _, value = line.partition("=")
+            if key in fields:
+                raise ValueError(f"{key} repeats")
             fields[key] = ast.literal_eval(value)
         legacy = fields.pop("gemm_path", "int8")  # older files name the kernel
+        if missing := [key for key in _CONFIG_KEYS if key not in fields]:
+            raise ValueError(f"no {', '.join(missing)}")
         config = LmConfig(**fields)
     except (SyntaxError, ValueError, TypeError) as exc:
         raise BadConfig(f"bad model config block: {exc}") from exc

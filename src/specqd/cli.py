@@ -2,9 +2,8 @@
 
 Subcommands: model-init, quantize, generate, gemm-bench, speedup-surface,
 roofline. All results are files (CSV/JSON) plus a short stdout summary;
-there is no interactive mode. The MXFP4 kernels' worker threads are capped
-by the SPECQD_THREADS environment variable; the float reference kernel
-takes its parallelism from BLAS.
+there is no interactive mode. The GEMM kernels start no threads of their
+own: BLAS is the only source of parallelism (``OPENBLAS_NUM_THREADS``).
 """
 
 from __future__ import annotations

@@ -38,16 +38,13 @@ exactly, which every float32-valued row with at most 28 bits of dynamic
 range does.
 
 So every path's result for a column depends only on that column: it is
-independent of N-batching and of the thread count. The MXFP4 paths take
-their parallelism from worker threads over disjoint output row ranges, the
-reference path from BLAS.
+independent of N-batching and of the BLAS thread count. Every path runs
+in the calling thread; BLAS is the only source of parallelism.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -144,27 +141,10 @@ class GemmShape:
 
 
 def default_threads() -> int:
-    return max(1, int(os.environ.get("SPECQD_THREADS", "1")))
-
-
-def _row_chunks(m: int, n_threads: int):
-    n_threads = min(n_threads, m)
-    bounds = np.linspace(0, m, n_threads + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _parallel_rows(kernel, m: int, n_threads: int) -> np.ndarray:
-    """Run ``kernel(row_lo, row_hi)`` over disjoint row ranges and stack.
-
-    Each row is computed by the same sequential reduction regardless of the
-    chunking, so outputs are bit-identical for any thread count.
-    """
-    if min(m, n_threads) <= 1:
-        return kernel(0, m)
-    chunks = _row_chunks(m, n_threads)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda c: kernel(*c), chunks))
-    return np.concatenate(parts, axis=0)
+    """The threads a kernel runs on: always 1, the calling thread, since
+    BLAS is the only source of parallelism. Kept because the benchmark
+    reports it as its ``specqd_threads`` fact."""
+    return 1
 
 
 class FloatWeight:
@@ -362,27 +342,23 @@ def _check_weight_act(w: MxfpTensor, k: int):
 def gemm_mxfp4_latescale_f32(
     w: MxfpTensor, a: np.ndarray, n_threads: int | None = None
 ) -> np.ndarray:
-    """Late-scaling float path: scf * sum(w_i * a_i) per 32-element block."""
+    """Late-scaling float path: scf * sum(w_i * a_i) per 32-element block.
+
+    One column at a time, in the calling thread; ``n_threads`` is accepted
+    and ignored.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise GemmShapeError(f"activations must be 2-D, got {a.shape}")
     _check_weight_act(w, a.shape[0])
-    if n_threads is None:
-        n_threads = default_threads()
     decoded, scales = decoded_weights(w)
-    n = a.shape[1]
-    a_blocks = a.reshape(-1, BLOCK_SIZE, n)
-
-    def kernel(lo, hi):
-        wb = decoded[lo:hi].reshape(hi - lo, -1, BLOCK_SIZE)
-        sc = scales[lo:hi]
-        cols = []
-        for j in range(n):
-            partial = fold_sum(wb * a_blocks[None, :, :, j], axis=2)
-            cols.append(fold_sum(partial * sc, axis=1))
-        return np.stack(cols, axis=1)
-
-    return _parallel_rows(kernel, w.rows, n_threads)
+    wb = decoded.reshape(w.rows, -1, BLOCK_SIZE)
+    a_blocks = a.reshape(-1, BLOCK_SIZE, a.shape[1])
+    cols = []
+    for j in range(a.shape[1]):
+        partial = fold_sum(wb * a_blocks[None, :, :, j], axis=2)
+        cols.append(fold_sum(partial * scales, axis=1))
+    return np.stack(cols, axis=1)
 
 
 def gemm_mxfp4_int8(
@@ -394,28 +370,23 @@ def gemm_mxfp4_int8(
     the activations against ``w.int_operand`` per ``COL_CHUNK`` columns,
     exactly (see the module docstring). The output scale folds in the
     LUT's x2 compensation as weight_scale * activation_scale * 0.5.
+    ``n_threads`` is accepted and ignored: BLAS gives the parallelism.
     """
     _check_weight_act(w, a.k)
     w_vals, w_scales = w.int_operand
     # Columns lead and rows trail, so the scaling broadcasts along rows.
     act = a.values.astype(np.float32).reshape(-1, BLOCK_SIZE, a.n).transpose(0, 2, 1)
-    return _int8_kernel(act, (a.scales * 0.5)[:, :, None], w_vals, w_scales,
-                        default_threads() if n_threads is None else n_threads)
+    return _int8_kernel(act, (a.scales * 0.5)[:, :, None], w_vals, w_scales)
 
 
-def _int8_kernel(act, a_scales, w_vals, w_scales, n_threads: int) -> np.ndarray:
+def _int8_kernel(act, a_scales, w_vals, w_scales) -> np.ndarray:
     """(rows, columns) of the int8 GEMM of (block, column, 32) activations
-    on a (block, 32, row) operand. It splits rows over threads and columns
-    into ``COL_CHUNK``s; neither split moves a result bit."""
-    if min(n_threads, w_scales.shape[1]) > 1:
-        return _parallel_rows(
-            lambda lo, hi: _int8_kernel(act, a_scales, w_vals[..., lo:hi],
-                                        w_scales[:, lo:hi], 1),
-            w_scales.shape[1], n_threads)
+    on a (block, 32, row) operand, ``COL_CHUNK`` columns at a time; the
+    split moves no result bit."""
     if act.shape[1] > COL_CHUNK:
         return np.concatenate([
             _int8_kernel(act[:, j:j + COL_CHUNK], a_scales[:, j:j + COL_CHUNK],
-                         w_vals, w_scales, 1)
+                         w_vals, w_scales)
             for j in range(0, act.shape[1], COL_CHUNK)], axis=1)
     # partial * (w scale * a scale / 2), the tests' oracle order: another
     # order rounds differently once a product leaves float64's normal range.

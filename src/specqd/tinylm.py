@@ -10,7 +10,7 @@ either exact on BLAS (the float GEMM and attention, see ``_attention``)
 or taken in a fixed order over that position's own data (layer norm, the
 MXFP4 GEMMs' cross-block sums). So processing a batch of new positions
 equals processing them one at a time, token for token and bit for bit,
-at any thread count.
+at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -95,14 +95,12 @@ class LinearWeight:
             a = np.pad(a, ((0, pad), (0, 0)))
         return qgemm.quantize_activations(a)
 
-    def apply(self, x: np.ndarray, n_threads: int | None = None,
-              operands: dict | None = None) -> np.ndarray:
+    def apply(self, x: np.ndarray, operands: dict | None = None) -> np.ndarray:
         """y = x @ W.T for x of shape (n_tokens, in_features).
 
-        ``n_threads`` goes to the MXFP4 kernels (``SPECQD_THREADS`` when
-        None). ``operands`` keeps the GEMM operand made from x per storage
-        kind and width, so linears that read the same x transpose, pad and
-        quantize it once.
+        ``operands`` keeps the GEMM operand made from x per storage kind and
+        width, so linears that read the same x transpose, pad and quantize
+        it once.
         """
         if operands is None:
             a = self._operand(x)
@@ -113,7 +111,7 @@ class LinearWeight:
             a = operands[key]
         if not self.is_quantized:
             return qgemm.gemm_reference(self.weight, a).T
-        return qgemm.gemm_mxfp4_int8(self.weight, a, n_threads).T
+        return qgemm.gemm_mxfp4_int8(self.weight, a).T
 
 
 @dataclass
@@ -424,23 +422,22 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
     if model.forward_penalty_s:
         time.sleep(model.forward_penalty_s)
 
-    threads = qgemm.default_threads()  # once per forward, not once per GEMM
     x = model.tok_emb[tokens] + model.pos_emb[start:end]
 
     for li, layer in enumerate(model.layers):
         h = _layer_norm(x, layer.ln1_g, layer.ln1_b, cfg.norm_epsilon)
         operands = {}  # wq, wk and wv read the same h
-        q, k, v = (lw.apply(h, threads, operands).reshape(n, cfg.n_heads, -1)
+        q, k, v = (lw.apply(h, operands).reshape(n, cfg.n_heads, -1)
                    for lw in (layer.wq, layer.wk, layer.wv))
         ctx = _attention(q, k, v, cache, li, start)
-        x = x + layer.wo.apply(ctx.reshape(n, cfg.d_model), threads)
+        x = x + layer.wo.apply(ctx.reshape(n, cfg.d_model))
 
         h = _layer_norm(x, layer.ln2_g, layer.ln2_b, cfg.norm_epsilon)
-        up = _gelu(layer.w_up.apply(h, threads))
-        x = x + layer.w_down.apply(up, threads)
+        up = _gelu(layer.w_up.apply(h))
+        x = x + layer.w_down.apply(up)
 
     h = _layer_norm(x, model.final_ln_g, model.final_ln_b, cfg.norm_epsilon)
-    logits = model.w_out.apply(h, threads)
+    logits = model.w_out.apply(h)
     cache.tokens[start:end] = tokens
     cache.length = end
     return logits

@@ -259,8 +259,12 @@ class TestModelRoundtrip:
         lambda text: text.replace("d_model=32", "d_model=32.0"),
         lambda text: text.replace("norm_epsilon=1e-05", "norm_epsilon='x'"),
         lambda text: text + "\ngemm_path='latescale_f32'",
+        lambda text: text + "\nnorm_epsilon=0.5",
+        lambda text: text.replace("\nnorm_epsilon=1e-05", ""),
+        lambda text: "",
     ], ids=["empty-value", "unknown-key", "wrong-type", "float-dimension",
-            "text-epsilon", "unknown-gemm-path"])
+            "text-epsilon", "unknown-gemm-path", "repeated-key", "missing-key",
+            "empty-block"])
     def test_corrupt_config_block(self, tmp_path, edit):
         p = tmp_path / "m.bin"
         _rewrite_config(p, init_seeded(CFG, 10), edit)

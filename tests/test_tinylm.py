@@ -165,42 +165,40 @@ class TestForward:
         want = 4 * CFG.n_layers + 1 if m.is_quantized else 0
         assert len(calls) == want
 
-    @pytest.mark.parametrize("mdl", ["model", "qmodel"])
-    def test_thread_count_invariant(self, mdl, request, monkeypatch):
-        m = request.getfixturevalue(mdl)
-        c1 = KvCache.empty(CFG)
-        base = forward(m, c1, [1, 2])
-        monkeypatch.setenv("SPECQD_THREADS", "4")
-        c2 = KvCache.empty(CFG)
-        assert np.array_equal(base, forward(m, c2, [1, 2]))
 
-
-# Prints one digest over a reference GEMM and the logits of d64 forwards:
-# 40 tokens, then a 320-token prefill at max_seq_len=512, once in the
-# default attention blocks and once in a single block, whose matmuls are
-# large enough for OpenBLAS to split across threads.
+# Prints one digest over a reference GEMM, an int8 GEMM and the logits of
+# d64 forwards of a float model and its MXFP4 cast: 40 tokens, then a
+# 320-token prefill at max_seq_len=512, once in the default attention
+# blocks and once in a single block, whose matmuls are large enough for
+# OpenBLAS to split across threads. So are the int8 GEMM's (16, 32) by
+# (32, 4096) float32 block matmuls, which a 1,024-row weight's are not.
 _BLAS_PROBE = """
 import hashlib
 import numpy as np
 from specqd import qgemm, tinylm
+from specqd.mxfp4 import quantize_direct_cast
 rng = np.random.default_rng(0)
 h = hashlib.sha256(qgemm.gemm_reference(rng.standard_normal((300, 200)),
                                         rng.standard_normal((200, 70))).tobytes())
+h.update(qgemm.gemm_mxfp4_int8(
+    quantize_direct_cast(rng.standard_normal((4096, 64))),
+    qgemm.quantize_activations(rng.standard_normal((64, 16)))).tobytes())
 for max_seq_len, n, block in ((256, 40, None), (512, 320, None), (512, 320, 1 << 22)):
     tinylm.ATTN_BLOCK = block or tinylm.ATTN_BLOCK
     cfg = tinylm.LmConfig(d_model=64, n_layers=2, n_heads=4, d_ff=128,
                           max_seq_len=max_seq_len)
     model = tinylm.init_seeded(cfg, 0)
     toks = [int(t) for t in np.random.default_rng(n).integers(0, cfg.vocab_size, n)]
-    h.update(tinylm.forward(model, tinylm.KvCache.empty(cfg), toks).tobytes())
+    for m in (model, tinylm.direct_cast_mxfp4(model)):
+        h.update(tinylm.forward(m, tinylm.KvCache.empty(cfg), toks).tobytes())
 print(h.hexdigest())
 """
 
 
 def test_blas_thread_count_does_not_change_bits():
-    # BLAS does the reference GEMM's and attention's reductions, so its
-    # thread count is one more place where the bits could start to depend
-    # on the host.
+    # BLAS does the reference and int8 GEMMs' and attention's reductions,
+    # and it is the only source of parallelism, so its thread count is
+    # where the bits could start to depend on the host.
     src = str(Path(specqd.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
