@@ -314,7 +314,7 @@ def quantize_activations(a: np.ndarray) -> QuantizedActivationPanel:
     if a.ndim != 2 or a.shape[0] % BLOCK_SIZE:
         raise GemmShapeError(f"activation shape {a.shape} not K-blockable")
     k, n = a.shape
-    blocks = a.reshape(-1, BLOCK_SIZE, n)
+    blocks = a.reshape(k // BLOCK_SIZE, BLOCK_SIZE, n)
     q = np.abs(blocks)
     absmax = q.max(axis=1)
     if not np.isfinite(absmax).all():  # a NaN or an infinity reaches its maximum
@@ -328,7 +328,8 @@ def quantize_activations(a: np.ndarray) -> QuantizedActivationPanel:
 
 
 def dequantize_activations(panel: QuantizedActivationPanel) -> np.ndarray:
-    blocks = panel.values.astype(np.float64).reshape(-1, BLOCK_SIZE, panel.n)
+    blocks = panel.values.astype(np.float64).reshape(
+        panel.k // BLOCK_SIZE, BLOCK_SIZE, panel.n)
     return (blocks * panel.scales[:, None, :]).reshape(panel.k, panel.n)
 
 
@@ -351,6 +352,8 @@ def gemm_mxfp4_latescale_f32(
     if a.ndim != 2:
         raise GemmShapeError(f"activations must be 2-D, got {a.shape}")
     _check_weight_act(w, a.shape[0])
+    if a.shape[1] == 0:
+        return np.zeros((w.rows, 0))
     decoded, scales = decoded_weights(w)
     wb = decoded.reshape(w.rows, -1, BLOCK_SIZE)
     a_blocks = a.reshape(-1, BLOCK_SIZE, a.shape[1])
@@ -375,7 +378,8 @@ def gemm_mxfp4_int8(
     _check_weight_act(w, a.k)
     w_vals, w_scales = w.int_operand
     # Columns lead and rows trail, so the scaling broadcasts along rows.
-    act = a.values.astype(np.float32).reshape(-1, BLOCK_SIZE, a.n).transpose(0, 2, 1)
+    act = a.values.astype(np.float32).reshape(
+        a.k // BLOCK_SIZE, BLOCK_SIZE, a.n).transpose(0, 2, 1)
     return _int8_kernel(act, (a.scales * 0.5)[:, :, None], w_vals, w_scales)
 
 

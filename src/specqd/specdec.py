@@ -13,6 +13,12 @@ accepted prefix) is emitted as the bonus token. Because every model
 breaks argmax ties to the lowest token id, the target's stream is
 token-identical to plain greedy decoding of the target, up to and at its
 context limit.
+
+A level drafts only what its caller can use. A round emits its accepted
+proposals plus the bonus, so with ``need`` tokens still wanted from the
+level, the child is asked for min(its ``spec_len``, ``need`` - 1); a
+request's ``max_new`` thus bounds every level's proposal, and a round
+with ``need`` 1 drafts nothing.
 """
 
 from __future__ import annotations
@@ -193,25 +199,38 @@ class _Session:
         """Up to ``n_max`` tokens of this model's greedy continuation of
         ``context``, in rounds until a confidence stop, ``eos`` (only the
         target passes one) or the context limit: the last token it can give
-        is the one after a full context."""
+        is the one after a full context.
+
+        Each round gets what is left of the budget, ``n_max`` less the
+        tokens emitted so far, and emits at most that many, so ``out`` never
+        passes ``n_max`` and no level drafts a token it could not emit.
+        """
         n_max = min(n_max, self.spec.model.config.max_seq_len - len(context) + 1)
         out: list[int] = []
         while len(out) < n_max:
-            new, stop = self._verify_round(context + out, stats)
+            new, stop = self._verify_round(context + out, n_max - len(out),
+                                           stats)
             out += new
             if stop or eos in new:
                 break
-        return out[:n_max]
+        return out
 
-    def _verify_round(self, context, stats):
+    def _verify_round(self, context, need, stats):
         """The child, if any, drafts after ``context``; this level verifies.
 
         Returns (tokens to emit at this level, early-stop flag). The flag is
         set when a token's confidence falls below this level's threshold.
-        At least the bonus token is always emitted.
+        At least the bonus token is always emitted, and at most ``need``
+        tokens: a round emits its accepted proposals plus one bonus, so the
+        child is asked for at most ``need - 1``. With ``need`` 1, or at a
+        leaf, nothing is drafted and the round is one forward of the
+        level's unfed tokens. ``need - 1`` never passes the context left,
+        since ``propose`` bounds its budget by the context limit.
         """
+        n_draft = 0 if self.child is None else min(self.child.spec.spec_len,
+                                                   need - 1)
         t0 = time.perf_counter()
-        if self.child is not None and self.child.cache is self.cache:
+        if n_draft and self.child.cache is self.cache:
             # The child reads the context's keys and values from this
             # level's forwards: all but the last token are fed first.
             prefill = self._unfed(context)[:-1]
@@ -219,10 +238,7 @@ class _Session:
                 self._timed_forward(prefill, stats)
                 self._commit()
         t1 = time.perf_counter()
-        room = self.spec.model.config.max_seq_len - len(context)
-        proposed = [] if self.child is None else self.child.propose(
-            context, min(self.child.spec.spec_len, room), stats
-        )
+        proposed = self.child.propose(context, n_draft, stats) if n_draft else []
         t2 = time.perf_counter()
         unfed = self._unfed(context)
         # Row j of ``logits`` follows context plus proposed[:j].
@@ -350,12 +366,19 @@ class BenchmarkReport:
     spec_seconds: float
 
     def summary_dict(self) -> dict:
+        t = self.totals
         return {
             "geomean_speedup": self.geomean_speedup,
             "per_level_alpha": {str(k): v for k, v in self.per_level_alpha.items()},
             "per_level_model_s": _by_level(self.totals.model_time_s),
             "per_level_forwards": _by_level(self.totals.forwards),
             "per_level_tokens_fed": _by_level(self.totals.tokens_fed),
+            # A draft level's rejected tokens, and its tokens per round
+            # that drafted any.
+            "per_level_wasted_draft_tokens": _by_level(
+                {lv: t.proposed[lv] - t.accepted[lv] for lv in t.levels()}),
+            "per_level_mean_proposal": _by_level(
+                {lv: t.proposed[lv] / t.rounds[lv] for lv in t.levels()}),
             "total_tokens": self.total_tokens,
             "greedy_seconds": self.greedy_seconds,
             "spec_seconds": self.spec_seconds,

@@ -166,6 +166,16 @@ class TestGenerate:
         assert fed["1"] == forwards["1"] > 0
         # The target prefills and verifies several tokens per forward.
         assert fed["0"] > forwards["0"] > 0
+        # Draft counts agree with the rounds that drafted something.
+        rows = [line.split(",") for line in
+                (out_dir / "rounds.csv").read_text().splitlines()[1:]]
+        drafted = [(int(p), int(a)) for lv, p, a, *_ in rows
+                   if lv == "0" and int(p)]
+        assert drafted
+        assert summary["per_level_wasted_draft_tokens"] == {
+            "1": sum(p - a for p, a in drafted)}
+        assert summary["per_level_mean_proposal"] == {
+            "1": pytest.approx(sum(p for p, _ in drafted) / len(drafted))}
 
     def test_lossless_flag_output_matches_greedy(self, models, tmp_path, capsys):
         target, draft, prompts = models

@@ -137,6 +137,18 @@ class TestReference:
             gemm_reference(np.ones((3, 0)), np.ones((0, 5))), np.zeros((3, 5))
         )
 
+    def test_zero_activation_columns_on_every_path(self):
+        w = quantize_direct_cast(
+            np.random.default_rng(4).standard_normal((5, 2 * BLOCK_SIZE)))
+        a = np.zeros((2 * BLOCK_SIZE, 0))
+        panel = quantize_activations(a)
+        assert panel.values.shape == (2 * BLOCK_SIZE, 0)
+        assert panel.scales.shape == (2, 0)
+        assert dequantize_activations(panel).shape == (2 * BLOCK_SIZE, 0)
+        for got in (gemm_mxfp4_int8(w, panel), gemm_mxfp4_latescale_f32(w, a),
+                    gemm_reference(dequantize(w), a)):
+            assert got.shape == (5, 0)
+
 
 class TestSliceMatmul:
     """The slice product that the reference GEMM and attention share."""

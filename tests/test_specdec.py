@@ -308,20 +308,55 @@ class TestStatsAndRounds:
         assert st.alpha(1) == 0.75 and st.rounds[1] == 2
 
 
+def replay_shared_draft(target, draft, prompt, max_new, spec_len, threshold):
+    """(proposed, accepted, rounds) of a two-level tree whose draft shares
+    the target's cache, replayed round by round from fresh caches.
+
+    In each round the target has fed all of the context but its last
+    token; the draft feeds that token and then each of its proposals, one
+    forward per token. A proposal stops at ``spec_len`` tokens, at one
+    fewer than the request still needs, or after a token whose probability
+    is below ``threshold``. A round that drafts nothing records nothing.
+    The context limit is not modelled: the request must stay short of it.
+    """
+    want = greedy_generate(target, prompt, max_new).tokens
+    assert len(prompt) + max_new <= target.config.max_seq_len
+    proposed = accepted = rounds = done = 0
+    while done < len(want):
+        context = prompt + want[:done]
+        draft_out = []
+        for _ in range(min(spec_len, max_new - done - 1)):
+            if not draft_out:
+                cache = KvCache.empty(target.config)
+                if len(context) > 1:
+                    forward(target, cache, context[:-1])
+                pending = context[-1:]
+            row = forward(draft, cache, pending)[-1]
+            pending = [greedy_next(row)]
+            draft_out += pending
+            if threshold > 0 and softmax_probs(row)[pending[0]] < threshold:
+                break
+        match = 0
+        while match < len(draft_out) and draft_out[match] == want[done + match]:
+            match += 1
+        rounds += bool(draft_out)
+        proposed += len(draft_out)
+        accepted += match
+        done += match + 1
+    return proposed, accepted, rounds
+
+
 class TestForwardCount:
     PROMPTS = ([1, 2, 3], [7, 40, 99, 5], [200])
 
     # ``before``: forwards on this tree when a level synced its cache with a
-    # forward of its own before each round's forward. ``stats``: total
-    # proposed, accepted and rounds at level 1 since the draft reads the
-    # target's keys and values, which changes its proposals.
-    @pytest.mark.parametrize("threshold,before,stats", [
-        (0.0, 226, (152, 62, 38)),
-        (0.4, 159, (59, 37, 59)),
-    ])
+    # forward of its own before each round's forward.
+    @pytest.mark.parametrize("threshold,before", [(0.0, 226), (0.4, 159)])
     def test_sync_folded_into_round_forward(self, target, mx_draft, monkeypatch,
-                                            threshold, before, stats):
+                                            threshold, before):
         greedy = [greedy_generate(target, p, 32).tokens for p in self.PROMPTS]
+        replayed = [replay_shared_draft(target, mx_draft, p, 32, 4, threshold)
+                    for p in self.PROMPTS]
         calls = Counter()
         real = specdec.forward
 
@@ -331,22 +366,103 @@ class TestForwardCount:
 
         monkeypatch.setattr(specdec, "forward", counting)
         tree = two_level(target, mx_draft, n=4, threshold=threshold)
-        proposed = accepted = rounds = 0
-        for prompt, want in zip(self.PROMPTS, greedy):
+        proposed = target_rounds = 0
+        for prompt, want, replay in zip(self.PROMPTS, greedy, replayed):
             res = speculative_generate(tree, prompt, 32)
             assert res.tokens == want
-            proposed += res.stats.proposed[1]
-            accepted += res.stats.accepted[1]
-            rounds += res.stats.rounds[1]
-        assert (proposed, accepted, rounds) == stats
-        # One target forward per round, plus one prefill of a prompt longer
-        # than one token before the first draft; one draft forward per
-        # drafted token: the unfed tail of the context rides along with the
-        # round's own tokens.
+            stats = res.stats
+            assert (stats.proposed[1], stats.accepted[1],
+                    stats.rounds[1]) == replay
+            proposed += stats.proposed[1]
+            target_rounds += sum(r.level == 0 for r in stats.log)
+        # One target forward per level-0 round, plus one prefill of a prompt
+        # longer than one token before the first draft; one draft forward
+        # per drafted token: the unfed tail of the context rides along with
+        # the round's own tokens.
         prefills = sum(len(p) > 1 for p in self.PROMPTS)
-        assert calls[id(target)] == rounds + prefills
+        assert calls[id(target)] == target_rounds + prefills
         assert calls[id(mx_draft)] == proposed
         assert sum(calls.values()) < before
+
+
+class TestProposalBudget:
+    """No level drafts more than its caller can still emit."""
+
+    @staticmethod
+    def tree(shape, threshold):
+        target = init_seeded(LIMIT, 0)
+        small = init_seeded(LIMIT_SMALL, 1)
+        drafts = {"mx": [direct_cast_mxfp4(target)], "small": [small],
+                  "mx-small": [direct_cast_mxfp4(target), small],
+                  "small-mx": [small, direct_cast_mxfp4(small)]}[shape]
+        return SpecTree([LevelSpec(target)] + [
+            LevelSpec(d, spec_len=n, threshold=threshold)
+            for d, n in zip(drafts, (5, 3))])
+
+    @pytest.mark.parametrize("shape", ["mx", "small", "mx-small", "small-mx"])
+    @pytest.mark.parametrize("threshold", [0.0, 0.4])
+    def test_child_asked_for_less_than_callers_need(self, monkeypatch, shape,
+                                                    threshold):
+        tree = self.tree(shape, threshold)
+        assert tree.shares_cache[1:] == {
+            "mx": [True], "small": [False], "mx-small": [True, False],
+            "small-mx": [False, True]}[shape]
+        real = specdec._Session.propose
+        active, child_calls, overshoots = [], [], []
+
+        def spy(session, context, n_max, stats, eos=None):
+            if active:
+                caller_context, budget = active[-1]
+                need = budget - (len(context) - len(caller_context))
+                child_calls.append((session.level, n_max, need))
+            limit = session.spec.model.config.max_seq_len - len(context) + 1
+            active.append((context, min(n_max, limit)))
+            try:
+                out = real(session, context, n_max, stats, eos)
+            finally:
+                active.pop()
+            if len(out) > n_max:
+                overshoots.append((session.level, n_max, len(out)))
+            return out
+
+        monkeypatch.setattr(specdec._Session, "propose", spy)
+        max_len = LIMIT.max_seq_len
+        drafted = 0
+        for n in (3, max_len - 2, max_len - 1, max_len):
+            prompt = [(7 * i + 3) % 64 for i in range(n)]
+            for max_new in (0, 1, 2, 3, 8, 32):
+                base = greedy_generate(tree.target, prompt, max_new).tokens
+                # No eos, then the middle greedy token as eos.
+                for eos in [None] + base[len(base) // 2:][:1]:
+                    want = greedy_generate(tree.target, prompt, max_new, eos)
+                    child_calls.clear()
+                    spec = speculative_generate(tree, prompt, max_new, eos)
+                    assert ((spec.tokens, spec.truncated)
+                            == (want.tokens, want.truncated)), (n, max_new, eos)
+                    bad = [c for c in child_calls if not 1 <= c[1] <= c[2] - 1]
+                    assert not bad, (n, max_new, eos, bad)
+                    drafted += len(child_calls)
+        assert drafted and not overshoots
+
+    def test_single_token_request_makes_one_target_forward(self, monkeypatch):
+        tree = self.tree("mx-small", 0.0)
+        prompt = [5, 9, 2, 40, 17]
+        want = greedy_generate(tree.target, prompt, 1).tokens
+        fed = []
+        real = specdec.forward
+
+        def recording(model, cache, tokens):
+            fed.append((model, len(tokens)))
+            return real(model, cache, tokens)
+
+        monkeypatch.setattr(specdec, "forward", recording)
+        res = speculative_generate(tree, prompt, 1)
+        assert res.tokens == want
+        # No split prefill: the whole prompt goes in one target forward, and
+        # no draft runs.
+        assert fed == [(tree.target, len(prompt))]
+        assert [(r.level, r.proposed) for r in res.stats.log] == [(0, 0)]
+        assert res.stats.proposed == {}
 
 
 def fresh_linears(model, seed):
