@@ -41,28 +41,44 @@ def fp4_decode(codes):
     return np.where(codes & 0x8, -mag, mag)
 
 
+# E2M1 code of each doubled magnitude in {0, 1, 2, 3, 4, 6, 8, 12}; the
+# other entries are never read.
+_CODE_OF_DOUBLED = np.zeros(13, dtype=np.uint8)
+_CODE_OF_DOUBLED[(2 * E2M1_MAGNITUDES).astype(np.intp)] = np.arange(8)
+
+
+def _encode_into(v, out):
+    """Write the E2M1 codes of the finite float64 array v into uint8 out.
+
+    Rounds as ``fp4_encode`` describes: rint(t / step) * step on the
+    doubled magnitude t, then a table lookup of the code.
+    """
+    t = np.minimum(np.abs(v), E2M1_MAX)
+    t *= 2.0
+    step = 1.0 + (t >= 4.0) + 2.0 * (t >= 8.0)
+    t /= step
+    np.rint(t, out=t)
+    t *= step
+    np.take(_CODE_OF_DOUBLED, t.astype(np.intp), out=out)
+    # From the sign bit, so that -0.0 keeps code 8.
+    out |= np.signbit(v).view(np.uint8) << 3
+
+
 def fp4_encode(values):
     """Encode finite float(s) to the nearest E2M1 code.
 
     Round-to-nearest with ties to the code whose mantissa bit is even;
-    magnitudes above 6 clamp to the max normal, preserving sign.
+    magnitudes above 6 clamp to the max normal, preserving sign. Rounding
+    is arithmetic, on the doubled magnitude t = 2 min(|v|, 6), which is
+    exact: there the grid {0, 1, 2, 3, 4, 6, 8, 12} has step 1 below 4, 2
+    below 8 and 4 up to 12, so rint(t / step) * step is the nearest grid
+    point, and rint's ties to even land on the even-mantissa code.
     """
     v = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise CodecError("fp4_encode requires finite inputs")
-    mag = np.minimum(np.abs(v), E2M1_MAX)
-
-    hi = np.searchsorted(E2M1_MAGNITUDES, mag, side="left")
-    hi = np.clip(hi, 0, 7)
-    lo = np.clip(hi - 1, 0, 7)
-    d_lo = mag - E2M1_MAGNITUDES[lo]
-    d_hi = E2M1_MAGNITUDES[hi] - mag
-    # Adjacent grid codes alternate mantissa parity, so on an exact tie the
-    # even-mantissa code is whichever of lo/hi has bit 0 clear.
-    even = np.where(lo & 1, hi, lo)
-    code = np.where(d_lo < d_hi, lo, np.where(d_hi < d_lo, hi, even))
-    code = code.astype(np.uint8)
-    code = np.where(np.signbit(v), code | 0x8, code)
+    code = np.empty(v.shape, dtype=np.uint8)
+    _encode_into(v.reshape(-1), code.reshape(-1))
     return code if code.ndim else np.uint8(code)
 
 
@@ -133,7 +149,7 @@ class MxfpTensor:
         a model does not pay for it.
         """
         lut = fp4_to_int8_lut().astype(np.float32)
-        values = lut[self.codes].reshape(self.rows, -1, BLOCK_SIZE)
+        values = lut[self.codes].reshape(*self.scale_exp.shape, BLOCK_SIZE)
         return (np.ascontiguousarray(values.transpose(1, 2, 0)),
                 np.ascontiguousarray(scale_values(self.scale_exp).T))
 
@@ -146,6 +162,12 @@ class MxfpTensor:
             and np.array_equal(self.codes, other.codes)
             and np.array_equal(self.scale_exp, other.scale_exp)
         )
+
+
+# Values the cast scales and encodes per pass, so that the temporaries of
+# a pass stay in cache; a multiple of BLOCK_SIZE, so a pass holds whole
+# blocks.
+_CHUNK = 1 << 14
 
 
 def _pad_cols(x: np.ndarray) -> np.ndarray:
@@ -161,22 +183,30 @@ def quantize_direct_cast(tensor: np.ndarray) -> MxfpTensor:
 
     Columns are zero-padded to a multiple of 32; padding zeros never change a
     block's max|V| so they are included in the scale computation harmlessly.
+    Blocks are scaled and rounded ``_CHUNK`` values at a time, by
+    ``fp4_encode``'s arithmetic, so the cast's temporaries are a few chunks
+    in size whatever the matrix's. A non-finite entry makes its block's
+    max|V| non-finite, so the cast needs no separate scan for one.
     """
     x = np.asarray(tensor, dtype=np.float64)
     if x.ndim != 2:
         raise CodecError(f"expected a 2-D matrix, got shape {x.shape}")
-    bad = ~np.isfinite(x)
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise CodecError(f"non-finite entry at index {idx}")
     rows, cols = x.shape
-    xp = _pad_cols(x)
-    blocks = xp.reshape(rows, -1, BLOCK_SIZE)
-    block_max = np.max(np.abs(blocks), axis=2)
+    n_blocks = -(-cols // BLOCK_SIZE)
+    blocks = _pad_cols(x).reshape(rows * n_blocks, BLOCK_SIZE)
+    # max|V| without an |V| copy; NaN and inf carry through to the block max.
+    block_max = np.maximum(blocks.max(axis=1), -blocks.min(axis=1))
+    if not np.all(np.isfinite(block_max)):
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
+        raise CodecError(f"non-finite entry at index {idx}")
     scale_exp, clamped = block_scale_exponents(block_max)
-    scales = scale_values(scale_exp)
-    codes = fp4_encode(blocks / scales[:, :, None]).reshape(rows, -1)
-    return MxfpTensor(rows, cols, codes, scale_exp, clamped_blocks=clamped)
+    scales = scale_values(scale_exp)[:, None]
+    codes = np.empty(blocks.shape, dtype=np.uint8)
+    per = _CHUNK // BLOCK_SIZE
+    for s in range(0, len(blocks), per):
+        _encode_into(blocks[s:s + per] / scales[s:s + per], codes[s:s + per])
+    return MxfpTensor(rows, cols, codes.reshape(rows, n_blocks * BLOCK_SIZE),
+                      scale_exp.reshape(rows, n_blocks), clamped_blocks=clamped)
 
 
 def dequantize(t: MxfpTensor) -> np.ndarray:
@@ -184,9 +214,9 @@ def dequantize(t: MxfpTensor) -> np.ndarray:
 
     Exact in float arithmetic (power-of-two scale times a 4-value mantissa set).
     """
-    decoded = fp4_decode(t.codes).reshape(t.rows, -1, BLOCK_SIZE)
+    decoded = fp4_decode(t.codes).reshape(*t.scale_exp.shape, BLOCK_SIZE)
     out = decoded * scale_values(t.scale_exp)[:, :, None]
-    return out.reshape(t.rows, -1)[:, : t.cols]
+    return out.reshape(t.codes.shape)[:, : t.cols]
 
 
 def decoded_weights(t: MxfpTensor):

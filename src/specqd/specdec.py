@@ -37,6 +37,7 @@ from .tinylm import (
     TokenRangeError,
     forward,
     greedy_next,
+    model_checksum,
     rollback,
     softmax_probs,
 )
@@ -364,6 +365,7 @@ class BenchmarkReport:
     total_tokens: int
     greedy_seconds: float
     spec_seconds: float
+    per_level_checksum: dict[int, str]  # model_checksum of each level
 
     def summary_dict(self) -> dict:
         t = self.totals
@@ -379,6 +381,7 @@ class BenchmarkReport:
                 {lv: t.proposed[lv] - t.accepted[lv] for lv in t.levels()}),
             "per_level_mean_proposal": _by_level(
                 {lv: t.proposed[lv] / t.rounds[lv] for lv in t.levels()}),
+            "per_level_checksum": _by_level(self.per_level_checksum),
             "total_tokens": self.total_tokens,
             "greedy_seconds": self.greedy_seconds,
             "spec_seconds": self.spec_seconds,
@@ -430,6 +433,8 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
         total_tokens=total_tokens,
         greedy_seconds=greedy_total,
         spec_seconds=spec_total,
+        per_level_checksum={i: model_checksum(lv.model)
+                            for i, lv in enumerate(tree.levels)},
     )
 
 

@@ -69,6 +69,15 @@ class TestTensorRoundtrip:
         assert got == t
         assert got.cols == 40 and got.padded_cols == 2 * BLOCK_SIZE
 
+    @pytest.mark.parametrize("cols", [0, 32, 40])
+    def test_mxfp4_zero_rows(self, tmp_path, cols):
+        t = quantize_direct_cast(np.zeros((0, cols)))
+        p = tmp_path / "q.bin"
+        save_tensor_file(p, t)
+        got = load_tensor_file(p)
+        assert got == t and (got.rows, got.cols) == (0, cols)
+        assert got.scale_exp.shape == t.scale_exp.shape
+
     def test_rejects_1d(self):
         with pytest.raises(ShapeMismatch):
             save_tensor(io.BytesIO(), np.ones(4))

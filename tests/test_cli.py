@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
 from specqd.cli import main
-from specqd.tinylm import model_checksum
+from specqd.tinylm import direct_cast_mxfp4, model_checksum
 from specqd import artifacts, specdec
 
 
@@ -176,6 +177,25 @@ class TestGenerate:
             "1": sum(p - a for p, a in drafted)}
         assert summary["per_level_mean_proposal"] == {
             "1": pytest.approx(sum(p for p, _ in drafted) / len(drafted))}
+
+    def test_summary_checksums(self, tmp_path, capsys):
+        target, draft = tmp_path / "t.bin", tmp_path / "d.bin"
+        assert main(["model-init", "--seed", "5", "--d-model", "32",
+                     "--n-heads", "2", "--out", str(target)]) == 0
+        printed = re.search(r"checksum=([0-9a-f]+)",
+                            capsys.readouterr().out).group(1)
+        assert main(["quantize", "--model", str(target),
+                     "--out", str(draft)]) == 0
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("1 2 3\n")
+        out_dir = tmp_path / "spec"
+        assert main(["generate", "--target", str(target), "--draft", str(draft),
+                     "--prompts", str(prompts), "--max-new", "4",
+                     "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        cast = direct_cast_mxfp4(artifacts.load_model(target))
+        assert summary["per_level_checksum"] == {
+            "0": printed, "1": model_checksum(cast)}
 
     def test_lossless_flag_output_matches_greedy(self, models, tmp_path, capsys):
         target, draft, prompts = models
