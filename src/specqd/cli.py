@@ -9,6 +9,7 @@ own: BLAS is the only source of parallelism (``OPENBLAS_NUM_THREADS``).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -135,7 +136,10 @@ def cmd_roofline(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as
+    it was, so every call of ``main`` gets the same parser."""
     parser = argparse.ArgumentParser(
         prog="specqd",
         description="Quantized-draft speculative decoding experiments",
@@ -151,12 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-ff", type=int, default=128)
     p.add_argument("--max-seq-len", type=int, default=256)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_model_init)
 
     p = sub.add_parser("quantize", help="MXFP4 direct-cast of a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("generate",
                        help="greedy / SD / multi-level SD generation")
@@ -176,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slowdown-per-mb", type=float, default=0.0,
                    help="per-forward sleep in seconds per MB of linear "
                         "weights, emulating a bandwidth-bound host")
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("gemm-bench", help="kernel bandwidth benchmark")
     p.add_argument("--m", type=int, default=1024)
@@ -186,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=qgemm.GEMM_PATHS)
     p.add_argument("--reps", type=int, default=9)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gemm_bench)
 
     p = sub.add_parser("speedup-surface", help="analytic speedup grid CSV")
     p.add_argument("--mode", choices=("single", "multi"), default="single")
@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1", type=float, default=4.0)
     p.add_argument("--s2", type=float, default=100.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_speedup_surface)
 
     p = sub.add_parser("roofline", help="operational-intensity table")
     p.add_argument("--m", type=int, default=8192)
@@ -207,14 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compute", type=float, default=1e12,
                    help="compute roof in flops/s")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_roofline)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The subcommand's function is looked up by name at call time, so a
+    # wrapper set on this module's ``cmd_*`` attribute is the one called.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (CliError, artifacts.ArtifactError, specdec.LosslessnessError,
             ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,6 +113,8 @@ class AcceptanceStats:
     forwards: dict[int, int] = field(default_factory=Counter)
     tokens_fed: dict[int, int] = field(default_factory=Counter)
     model_time_s: dict[int, float] = field(default_factory=Counter)
+    # Tokens each level's rollbacks dropped from its session's cache.
+    rolled_back: dict[int, int] = field(default_factory=Counter)
     log: list[RoundRecord] = field(default_factory=list)  # rounds with a child
 
     def record(self, level: int, proposed: int, accepted: int):
@@ -128,7 +130,7 @@ class AcceptanceStats:
     def merge(self, other: "AcceptanceStats"):
         """Add ``other``'s per-level counts and times, not its round log."""
         for name in ("proposed", "accepted", "rounds", "forwards",
-                     "tokens_fed", "model_time_s"):
+                     "tokens_fed", "model_time_s", "rolled_back"):
             getattr(self, name).update(getattr(other, name))
 
     def alpha(self, level: int) -> float:
@@ -161,7 +163,7 @@ class _Session:
         self.cache = cache
         self.committed = 0
 
-    def _unfed(self, context: list[int]) -> list[int]:
+    def _unfed(self, context: list[int], stats: AcceptanceStats) -> list[int]:
         """Roll the cache back to its longest committed prefix shared with
         ``context[:-1]``; return the tokens of ``context`` it still lacks.
 
@@ -172,8 +174,14 @@ class _Session:
         differ = np.flatnonzero(fed != context[:fed.size])
         common = int(differ[0]) if differ.size else fed.size
         if common < self.cache.length:
-            rollback(self.cache, common)
+            self._rollback(common, stats)
         return context[common:]
+
+    def _rollback(self, to_length: int, stats: AcceptanceStats):
+        """Roll the cache back to ``to_length``; the dropped tokens count
+        as this level's."""
+        stats.rolled_back[self.level] += self.cache.length - to_length
+        rollback(self.cache, to_length)
 
     def _commit(self):
         """The cache's whole length becomes the committed prefix of this
@@ -183,9 +191,10 @@ class _Session:
             s.committed = self.cache.length
             s = s.child
 
-    def _timed_forward(self, tokens, stats: AcceptanceStats):
+    def _timed_forward(self, tokens, stats: AcceptanceStats, n_logits: int):
+        """The last ``n_logits`` logit rows of a forward of ``tokens``."""
         t0 = time.perf_counter()
-        logits = forward(self.spec.model, self.cache, tokens)
+        logits = forward(self.spec.model, self.cache, tokens, n_logits=n_logits)
         stats.add_forward(self.level, len(tokens), time.perf_counter() - t0)
         return logits
 
@@ -234,16 +243,17 @@ class _Session:
         if n_draft and self.child.cache is self.cache:
             # The child reads the context's keys and values from this
             # level's forwards: all but the last token are fed first.
-            prefill = self._unfed(context)[:-1]
+            prefill = self._unfed(context, stats)[:-1]
             if prefill:
-                self._timed_forward(prefill, stats)
+                self._timed_forward(prefill, stats, n_logits=0)
                 self._commit()
         t1 = time.perf_counter()
         proposed = self.child.propose(context, n_draft, stats) if n_draft else []
         t2 = time.perf_counter()
-        unfed = self._unfed(context)
+        unfed = self._unfed(context, stats)
         # Row j of ``logits`` follows context plus proposed[:j].
-        logits = self._timed_forward(unfed + proposed, stats)[len(unfed) - 1:]
+        logits = self._timed_forward(unfed + proposed, stats,
+                                     n_logits=len(proposed) + 1)
         accepted = 0
         for j, tok in enumerate(proposed):
             if greedy_next(logits[j]) != tok:
@@ -251,7 +261,7 @@ class _Session:
             accepted += 1
         bonus = greedy_next(logits[accepted])
         # Drop cache entries of rejected proposals; bonus stays unprocessed.
-        rollback(self.cache, len(context) + accepted)
+        self._rollback(len(context) + accepted, stats)
         self._commit()
         if proposed:
             stats.record(self.level + 1, len(proposed), accepted)
@@ -313,7 +323,7 @@ def greedy_generate(model: TinyLmModel, prompt, max_new: int,
     truncated = False
     for _ in range(max_new):
         try:
-            logits = forward(model, cache, pending)
+            logits = forward(model, cache, pending, n_logits=1)
         except ContextOverflow:
             truncated = True
             break
@@ -375,6 +385,8 @@ class BenchmarkReport:
             "per_level_model_s": _by_level(self.totals.model_time_s),
             "per_level_forwards": _by_level(self.totals.forwards),
             "per_level_tokens_fed": _by_level(self.totals.tokens_fed),
+            "per_level_rolled_back": _by_level(
+                {lv: t.rolled_back[lv] for lv in t.forwards}),
             # A draft level's rejected tokens, and its tokens per round
             # that drafted any.
             "per_level_wasted_draft_tokens": _by_level(

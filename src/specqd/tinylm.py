@@ -95,20 +95,32 @@ class LinearWeight:
             a = np.pad(a, ((0, pad), (0, 0)))
         return qgemm.quantize_activations(a)
 
-    def apply(self, x: np.ndarray, operands: dict | None = None) -> np.ndarray:
-        """y = x @ W.T for x of shape (n_tokens, in_features).
+    def apply(self, x: np.ndarray, operands: dict | None = None,
+              last: int | None = None) -> np.ndarray:
+        """y = x @ W.T for x of shape (n_tokens, in_features), or for its
+        ``last`` rows only.
 
         ``operands`` keeps the GEMM operand made from x per storage kind and
         width, so linears that read the same x transpose, pad and quantize
-        it once.
+        it once; ``last`` takes that operand's last columns, which is exact,
+        since every column is quantized and multiplied on its own. No rows
+        make no kernel call.
         """
+        n = x.shape[0]
+        rows = n if last is None else last
+        if not rows:
+            return np.zeros((0, self.shape[0]))
         if operands is None:
-            a = self._operand(x)
+            a = self._operand(x[n - rows:])
         else:
             key = (self.is_quantized, self.shape[1])
             if key not in operands:
                 operands[key] = self._operand(x)
             a = operands[key]
+            if rows < n:
+                a = (qgemm.QuantizedActivationPanel(a.values[:, n - rows:],
+                                                    a.scales[:, n - rows:])
+                     if self.is_quantized else a[:, n - rows:])
         if not self.is_quantized:
             return qgemm.gemm_reference(self.weight, a).T
         return qgemm.gemm_mxfp4_int8(self.weight, a).T
@@ -280,14 +292,18 @@ ATTN_BLOCK = 1 << 17
 
 
 def _attention(q, k, v, cache: KvCache, li: int, start: int):
-    """Causal attention of new positions ``start + i``: writes their keys
-    and values to layer ``li`` of the cache, then attends over the cache.
+    """Causal attention of the last ``len(q)`` of the new positions
+    ``start + i``: writes every new position's key and value to layer
+    ``li`` of the cache, then attends over the cache for the query rows.
 
-    q, k and v have shape (n, heads, d_head); the result too. Every
-    (position, head) row of q / sqrt(d_head), k and v gets its own
-    power-of-two exponent, and both reductions are exact slice products
-    on BLAS, the ones ``qgemm.gemm_reference`` makes (``qgemm.row_slices``
-    and ``qgemm.slice_matmul``):
+    k and v have shape (n, heads, d_head), q and the result (m, heads,
+    d_head) with m <= n: q's row i is position start + n - m + i. A caller
+    that reads no result for the first n - m new positions needs only
+    their keys and values, so it passes no queries for them, and no query
+    block runs for them. Every (position, head) row of q / sqrt(d_head),
+    k and v gets its own power-of-two exponent, and both reductions are
+    exact slice products on BLAS, the ones ``qgemm.gemm_reference`` makes
+    (``qgemm.row_slices`` and ``qgemm.slice_matmul``):
 
     * Scores: a key row is stored as two 26-bit slices, a query row is
       cut into A_SLICES slices of b = ``slice_bits(d_head)`` bits. Each
@@ -306,9 +322,11 @@ def _attention(q, k, v, cache: KvCache, li: int, start: int):
     keys it sees: a masked key adds exact zeros to exact sums and moves
     no exponent, and the widths depend on d_head and max_seq_len, never
     on the number of keys. So a position's bits depend neither on the
-    positions computed with it nor on how the causal blocks of
-    ``ATTN_BLOCK`` product elements, each reducing over the keys up to
-    its last position, fall.
+    positions computed with it, nor on whether earlier new positions had
+    queries, nor on how the causal blocks of ``ATTN_BLOCK`` product
+    elements, each reducing over the keys up to its last position, fall.
+    A key or value row's slices depend on that row alone, so the cache
+    gets the same bits whatever m is.
 
     For operands and results in float64's normal range, let L be the
     keys position i sees, K and V the largest |k| and |v| over them, and
@@ -317,12 +335,13 @@ def _attention(q, k, v, cache: KvCache, li: int, start: int):
     below V * (2.01 * delta + L * (2^(2 - 3c) + 2^-49)). Raises
     ``CodecError`` for a non-finite q, k or v, before writing the cache.
     """
-    n, heads, d_head = q.shape
+    n, heads, d_head = k.shape
+    m = q.shape[0]
     a_n, w_n = qgemm.A_SLICES, qgemm.W_SLICES
-    nh, end = n * heads, start + n
-    nhd = nh * d_head
+    qh, nh, end = m * heads, n * heads, start + n
+    qd, kvd = qh * d_head, 2 * nh * d_head
     step = max(1, ATTN_BLOCK // (a_n * w_n * heads * end))
-    rows_max = min(n, step)
+    rows_max = min(m, step)
     q_size = a_n * rows_max * heads * d_head
     # A block's score products, or p's slices and the context products.
     prod_size = a_n * heads * rows_max * (end + max(end, w_n * d_head))
@@ -332,34 +351,38 @@ def _attention(q, k, v, cache: KvCache, li: int, start: int):
     # own last slices, in place, with the first slices behind them. Once
     # those are in the cache, only the query rows stay, and the blocks use
     # the space behind them.
-    work = np.empty(max(6 * nhd, nhd + q_size + prod_size + heads * rows_max * end))
-    rows = work[:3 * nhd].reshape(3, n, heads, d_head)
-    np.multiply(q, 1.0 / math.sqrt(d_head), out=rows[0])
-    rows[1], rows[2] = k, v
-    rows = rows.reshape(3 * nh, d_head)
-    exps = qgemm.row_exponents(rows, work[3 * nhd:6 * nhd].reshape(-1, d_head))
+    work = np.empty(max(2 * (qd + kvd),
+                        qd + q_size + prod_size + heads * rows_max * end))
+    rows = work[:qd + kvd]
+    np.multiply(q, 1.0 / math.sqrt(d_head), out=rows[:qd].reshape(q.shape))
+    kv_rows = rows[qd:].reshape(2, n, heads, d_head)
+    kv_rows[0], kv_rows[1] = k, v
+    rows = rows.reshape(qh + 2 * nh, d_head)
+    exps = qgemm.row_exponents(rows, work[qd + kvd:2 * (qd + kvd)].reshape(-1, d_head))
     # Key slices sum to the key, value slices to the value over its 2^e.
-    scales = np.ldexp(1.0, exps[2 * nh:])
+    vr = qh + nh  # the first value row
+    scales = np.ldexp(1.0, exps[vr:])
     cache.value_scales[li, :, start:end] = scales.reshape(n, heads).T
-    np.divide(rows[2 * nh:], scales, out=rows[2 * nh:])
-    exps[2 * nh:] = 0
-    kv = qgemm.row_slices(rows[nh:], qgemm.W_SLICE_BITS, w_n, exps=exps[nh:],
-                          out=work[nhd:5 * nhd].reshape(w_n, 2 * nh, d_head)[::-1])
+    np.divide(rows[vr:], scales, out=rows[vr:])
+    exps[vr:] = 0
+    kv = qgemm.row_slices(
+        rows[qh:], qgemm.W_SLICE_BITS, w_n, exps=exps[qh:],
+        out=work[qd:qd + w_n * kvd].reshape(w_n, 2 * nh, d_head)[::-1])
     kv = kv.reshape(w_n, 2, n, heads, d_head)
     cache.keys[li, :, start:end] = kv[:, 0].transpose(2, 1, 0, 3)
     cache.values[li, :, start:end] = kv[:, 1].transpose(2, 1, 3, 0)
-    rows, exps = rows[:nh].reshape(n, heads, d_head), exps[:nh].reshape(n, heads, 1)
+    rows, exps = rows[:qh].reshape(m, heads, d_head), exps[:qh].reshape(m, heads, 1)
 
     n_seq = cache.keys.shape[2]
     q_bits, p_bits, z_bits = (qgemm.slice_bits(d_head), qgemm.slice_bits(n_seq),
                               qgemm.slice_bits(n_seq, 0))
     keys = cache.keys[li].reshape(heads, -1, d_head).transpose(0, 2, 1)
     values = cache.values[li].reshape(heads, n_seq, -1)
-    work = work[nhd:]
-    ctx = np.empty((n, heads, d_head))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        rows_b, n_keys = hi - lo, start + hi
+    work = work[qd:]
+    ctx = np.empty((m, heads, d_head))
+    for lo in range(0, m, step):
+        hi = min(m, lo + step)
+        rows_b, n_keys = hi - lo, end - m + hi
         size = heads * rows_b * n_keys
         # Each block cuts its own query slices. The products follow them in
         # the buffer, then the scores and p.
@@ -394,14 +417,26 @@ def _attention(q, k, v, cache: KvCache, li: int, start: int):
     return ctx
 
 
-def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
+def forward(model: TinyLmModel, cache: KvCache, new_tokens, *,
+            n_logits: int | None = None) -> np.ndarray:
     """Process new token positions in one pass, extending the cache.
 
-    Returns logits of shape (len(new_tokens), vocab); row i conditions on
-    the cache plus new_tokens[: i + 1]. Verifying N+1 positions therefore
-    costs one call. Keys and values are written in place past the cached
-    positions, and ``length`` advances only once the logits exist, so a
-    forward that raises leaves the cache as it was.
+    Returns the last ``n_logits`` rows (every row by default) of the
+    logits of shape (len(new_tokens), vocab); row i of the full logits
+    conditions on the cache plus new_tokens[: i + 1]. Verifying N+1
+    positions therefore costs one call. Keys and values are written in
+    place past the cached positions for every new token, and ``length``
+    advances only once the logits exist, so a forward that raises, also
+    for an ``n_logits`` outside [0, len(new_tokens)], leaves the cache as
+    it was.
+
+    Only the last layer's keys and values of a position whose logits are
+    not returned are ever read, so its queries, attention, ``wo``, MLP,
+    final norm and LM head run on the kept rows alone; with ``n_logits``
+    0 the forward ends once the last layer's keys and values are written.
+    Every step is computed per position (a GEMM column, a layer-norm row,
+    an attention query row), so the kept rows and the cache get the same
+    bits as in the full forward.
     """
     cfg = model.config
     tokens = np.asarray(new_tokens, dtype=np.int64)
@@ -413,6 +448,11 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
             f"token id {int(tokens[bad][0])} outside [0, {cfg.vocab_size})"
         )
     n = tokens.size
+    if n_logits is None:
+        n_logits = n
+    elif (isinstance(n_logits, bool) or not isinstance(n_logits, (int, np.integer))
+          or not 0 <= n_logits <= n):
+        raise ValueError(f"n_logits must be an integer in [0, {n}], got {n_logits!r}")
     start = cache.length
     end = start + n
     if end > cfg.max_seq_len:
@@ -423,21 +463,30 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens) -> np.ndarray:
         time.sleep(model.forward_penalty_s)
 
     x = model.tok_emb[tokens] + model.pos_emb[start:end]
+    d_head = cfg.d_model // cfg.n_heads
 
     for li, layer in enumerate(model.layers):
+        # Rows past attention: the kept ones in the last layer, else all.
+        rows = n_logits if li == len(model.layers) - 1 else n
         h = _layer_norm(x, layer.ln1_g, layer.ln1_b, cfg.norm_epsilon)
         operands = {}  # wq, wk and wv read the same h
-        q, k, v = (lw.apply(h, operands).reshape(n, cfg.n_heads, -1)
-                   for lw in (layer.wq, layer.wk, layer.wv))
+        k, v = (lw.apply(h, operands).reshape(n, cfg.n_heads, d_head)
+                for lw in (layer.wk, layer.wv))
+        q = layer.wq.apply(h, operands, last=rows).reshape(rows, cfg.n_heads, d_head)
         ctx = _attention(q, k, v, cache, li, start)
-        x = x + layer.wo.apply(ctx.reshape(n, cfg.d_model))
+        if not rows:
+            break
+        x = x[n - rows:] + layer.wo.apply(ctx.reshape(rows, cfg.d_model))
 
         h = _layer_norm(x, layer.ln2_g, layer.ln2_b, cfg.norm_epsilon)
         up = _gelu(layer.w_up.apply(h))
         x = x + layer.w_down.apply(up)
 
-    h = _layer_norm(x, model.final_ln_g, model.final_ln_b, cfg.norm_epsilon)
-    logits = model.w_out.apply(h)
+    if n_logits:
+        h = _layer_norm(x, model.final_ln_g, model.final_ln_b, cfg.norm_epsilon)
+        logits = model.w_out.apply(h)
+    else:
+        logits = np.zeros((0, cfg.vocab_size))
     cache.tokens[start:end] = tokens
     cache.length = end
     return logits

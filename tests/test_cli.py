@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from specqd.cli import main
+from specqd import cli
+from specqd.cli import build_parser, main
 from specqd.tinylm import direct_cast_mxfp4, model_checksum
 from specqd import artifacts, specdec
 
@@ -162,6 +163,9 @@ class TestGenerate:
         forwards = summary["per_level_forwards"]
         fed = summary["per_level_tokens_fed"]
         assert set(forwards) == set(fed) == {"0", "1"}
+        # Rejected proposals are rolled back from the shared cache.
+        rolled = summary["per_level_rolled_back"]
+        assert set(rolled) == {"0", "1"} and rolled["0"] > 0
         # The cast shares the target's cache, so it feeds only the token
         # it drafts from.
         assert fed["1"] == forwards["1"] > 0
@@ -321,3 +325,55 @@ class TestSurfaceAndRoofline:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "format,M,N,K,intensity,attainable_flops"
         assert len(lines) == 1 + 2 * 3  # two N values x three formats
+
+
+class TestParserBuiltOnce:
+    GENERATE = ["generate", "--target", "t.bin", "--prompts", "p.txt",
+                "--out", "o"]
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_append_defaults_do_not_leak(self, models, tmp_path, capsys):
+        target, draft, prompts = models
+        parse = build_parser().parse_args
+        a = parse(self.GENERATE + ["--draft", "d1.bin", "--draft", "d2.bin",
+                                   "--spec-len", "4", "--threshold", "0.5"])
+        b = parse(self.GENERATE + ["--spec-len", "2"])
+        c = parse(self.GENERATE)
+        assert (a.draft, a.spec_len, a.threshold) == (
+            ["d1.bin", "d2.bin"], [4], [0.5])
+        assert (b.draft, b.spec_len, b.threshold) == ([], [2], [])
+        assert (c.draft, c.spec_len, c.threshold) == ([], [], [])
+        # The same through main: a two-level run, then a greedy one.
+        levels = []
+        for flags in (["--draft", str(draft), "--spec-len", "3",
+                       "--threshold", "0.0", "--threshold", "0.2"], []):
+            out_dir = tmp_path / f"run{len(levels)}"
+            assert main(["generate", "--target", str(target), "--prompts",
+                         str(prompts), "--max-new", "4", "--out", str(out_dir)]
+                        + flags) == 0
+            summary = json.loads((out_dir / "summary.json").read_text())
+            levels.append(sorted(summary["per_level_forwards"]))
+        assert levels == [["0", "1"], ["0"]]
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["generate", "--target", "t.bin", "--out", "o"], 2,
+         "the following arguments are required: --prompts"),
+        (["no-such-command"], 2, "invalid choice: 'no-such-command'"),
+        (["roofline", "--out", "x.csv", "--n", "one"], 2,
+         "argument --n: invalid int value: 'one'"),
+    ])
+    def test_error_exits_repeat(self, capsys, argv, code, message):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+            assert message in capsys.readouterr().err
+
+    def test_subcommand_looked_up_at_call_time(self, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_roofline", lambda args: seen.append(
+            args.out) or 7)
+        assert main(["roofline", "--out", str(tmp_path / "r.csv")]) == 7
+        assert seen == [str(tmp_path / "r.csv")]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specqd import artifacts, specdec
+from specqd import artifacts, qgemm, specdec
 from specqd.specdec import (
     DEFAULT_SPEC_LEN,
     DEFAULT_THRESHOLD,
@@ -258,9 +258,9 @@ class TestLeafRound:
         calls = Counter()
         real = specdec.forward
 
-        def counting(model, cache, tokens):
+        def counting(model, cache, tokens, *, n_logits=None):
             calls["forward"] += 1
-            return real(model, cache, tokens)
+            return real(model, cache, tokens, n_logits=n_logits)
 
         monkeypatch.setattr(specdec, "forward", counting)
         leaf = specdec._Session(LevelSpec(model, threshold=threshold), 2, None,
@@ -360,9 +360,9 @@ class TestForwardCount:
         calls = Counter()
         real = specdec.forward
 
-        def counting(model, cache, tokens):
+        def counting(model, cache, tokens, *, n_logits=None):
             calls[id(model)] += 1
-            return real(model, cache, tokens)
+            return real(model, cache, tokens, n_logits=n_logits)
 
         monkeypatch.setattr(specdec, "forward", counting)
         tree = two_level(target, mx_draft, n=4, threshold=threshold)
@@ -451,9 +451,9 @@ class TestProposalBudget:
         fed = []
         real = specdec.forward
 
-        def recording(model, cache, tokens):
+        def recording(model, cache, tokens, *, n_logits=None):
             fed.append((model, len(tokens)))
-            return real(model, cache, tokens)
+            return real(model, cache, tokens, n_logits=n_logits)
 
         monkeypatch.setattr(specdec, "forward", recording)
         res = speculative_generate(tree, prompt, 1)
@@ -501,9 +501,9 @@ class TestSharedCache:
         fed = []
         real = specdec.forward
 
-        def recording(model, cache, tokens):
+        def recording(model, cache, tokens, *, n_logits=None):
             fed.append((model, cache.length, len(tokens)))
-            return real(model, cache, tokens)
+            return real(model, cache, tokens, n_logits=n_logits)
 
         monkeypatch.setattr(specdec, "forward", recording)
         for threshold in (0.0, 0.4):
@@ -525,8 +525,8 @@ class TestSharedCache:
         rows = []
         real = specdec.forward
 
-        def recording(model, cache, tokens):
-            logits = real(model, cache, tokens)
+        def recording(model, cache, tokens, *, n_logits=None):
+            logits = real(model, cache, tokens, n_logits=n_logits)
             if model is target:
                 rows.append((cache.tokens[:cache.length].tolist(), logits))
             return logits
@@ -535,15 +535,18 @@ class TestSharedCache:
         prompt = [3, 1, 4, 1, 5]
         res = speculative_generate(tree, prompt, 40)
         seq = prompt + res.tokens
-        want = forward(target, KvCache.empty(CFG), seq[:-1])
-        checked = 0
+        # The split prefill returns no row; each round's forward returns
+        # the rows of its last fed position and its proposals.
+        assert rows[0][0] == prompt[:-1] and rows[0][1].shape == (0, CFG.vocab_size)
+        read = set()
         for fed, logits in rows:
             start = len(fed) - len(logits)
-            for i, row in enumerate(logits):
-                if fed[:start + i + 1] == seq[:start + i + 1]:
-                    assert np.array_equal(row, want[start + i])
-                    checked += 1
-        assert checked == len(seq) - 1
+            want = forward(target, KvCache.empty(CFG), fed)[start:]
+            assert logits.tobytes() == want.tobytes()
+            read.update(start + i for i in range(len(logits))
+                        if fed[:start + i + 1] == seq[:start + i + 1])
+        # Every position whose next token the target emitted was returned.
+        assert read == set(range(len(prompt) - 1, len(seq) - 1))
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("threshold", [0.0, 0.03])
@@ -572,6 +575,82 @@ class TestSharedCache:
         # The draft wrote proposals past the target's positions that the
         # target rejected.
         assert accepted < proposed
+
+
+class TestRowsRead:
+    """Callers ask ``forward`` by keyword for the logit rows they read, so
+    no kernel runs on zero columns."""
+
+    def test_keyword_only_and_no_empty_kernel_call(self, target, mx_draft,
+                                                   small_draft, monkeypatch):
+        forwards = []
+        real = specdec.forward
+
+        def spy(*args, **kwargs):
+            forwards.append((len(args), tuple(kwargs)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(specdec, "forward", spy)
+        kernel_cols = []
+        for name, cols in (("gemm_reference", lambda w, a: a.shape[1]),
+                           ("gemm_mxfp4_int8", lambda w, a: a.n),
+                           ("quantize_activations", lambda a: a.shape[1])):
+            def checked(*args, _kernel=getattr(qgemm, name), _name=name,
+                        _cols=cols):
+                kernel_cols.append((_name, _cols(*args)))
+                return _kernel(*args)
+
+            monkeypatch.setattr(qgemm, name, checked)
+        for threshold in (0.0, 0.4):
+            tree = SpecTree([LevelSpec(target, 4, threshold),
+                             LevelSpec(mx_draft, 3, threshold),
+                             LevelSpec(small_draft, 2, threshold)])
+            for prompt in ([1], [7, 40, 99, 5]):
+                base = greedy_generate(target, prompt, 20).tokens
+                assert speculative_generate(tree, prompt, 20).tokens == base
+        assert forwards and set(forwards) == {(3, ("n_logits",))}
+        assert {name for name, _ in kernel_cols} == {
+            "gemm_reference", "gemm_mxfp4_int8", "quantize_activations"}
+        assert min(n for _, n in kernel_cols) > 0
+
+
+class TestRolledBack:
+    @pytest.mark.parametrize("limit", [False, True])
+    @pytest.mark.parametrize("threshold", [0.0, 0.4])
+    def test_fed_minus_rolled_back_is_cache_length(
+            self, target, mx_draft, small_draft, limit, threshold):
+        if limit:
+            # A short context, so requests reach its limit.
+            t, small = init_seeded(LIMIT, 0), init_seeded(LIMIT_SMALL, 1)
+            models, prompts = [t, direct_cast_mxfp4(t), small], ([3], [5] * 20)
+        else:
+            models, prompts = [target, mx_draft, small_draft], ([1], [7, 40, 99, 5])
+        tree = SpecTree([LevelSpec(m, n, threshold)
+                         for m, n in zip(models, (4, 3, 2))])
+        assert tree.shares_cache == [False, True, False]
+        dropped = 0
+        for prompt in prompts:
+            session = specdec.build_sessions(tree)
+            stats = AcceptanceStats()
+            session.propose(prompt, 24, stats)
+            caches = {}  # each cache and the levels that feed it
+            while session is not None:
+                caches.setdefault(id(session.cache), (session.cache, []))[1].append(
+                    session.level)
+                session = session.child
+            assert len(caches) == 2
+            for cache, levels in caches.values():
+                assert cache.length == sum(
+                    stats.tokens_fed[lv] - stats.rolled_back[lv] for lv in levels)
+            dropped += sum(stats.rolled_back.values())
+        assert dropped > 0
+
+    def test_merge_sums(self):
+        a, b = AcceptanceStats(), AcceptanceStats()
+        a.rolled_back.update({0: 2, 1: 3})
+        b.rolled_back.update({1: 4, 2: 1})
+        a.merge(b)
+        assert a.rolled_back == {0: 2, 1: 7, 2: 1}
 
 
 class TestConfidenceSkip:
@@ -638,7 +717,8 @@ class TestBenchmark:
                 r.stats.model_time_s[int(level)] for r in rep.results))
         summary = rep.summary_dict()
         for key, field in (("per_level_forwards", "forwards"),
-                           ("per_level_tokens_fed", "tokens_fed")):
+                           ("per_level_tokens_fed", "tokens_fed"),
+                           ("per_level_rolled_back", "rolled_back")):
             assert summary[key] == {
                 str(level): sum(getattr(r.stats, field)[level]
                                 for r in rep.results)

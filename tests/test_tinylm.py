@@ -379,6 +379,79 @@ class TestLongContext:
         assert got.tobytes() == fresh[157:].tobytes()
 
 
+# Prompts of up to 153 positions at max_seq_len=160 span several attention
+# query blocks in both shapes.
+ROWS_CONFIGS = {
+    "2-layer": LmConfig(d_model=64, n_layers=2, n_heads=4, d_ff=128,
+                        max_seq_len=160),
+    "1-layer": LmConfig(d_model=32, n_layers=1, n_heads=2, d_ff=64,
+                        max_seq_len=160),
+}
+CACHE_FIELDS = ("keys", "values", "value_scales", "tokens", "length")
+
+
+def cache_bytes(cache):
+    return [np.asarray(getattr(cache, name)).tobytes() for name in CACHE_FIELDS]
+
+
+class TestLogitRows:
+    """``n_logits=m`` returns the last m rows of the full forward and
+    leaves the cache as the full forward does, bit for bit."""
+
+    @pytest.fixture(scope="class", params=[
+        (shape, quantized) for shape in ROWS_CONFIGS for quantized in (False, True)
+    ], ids=lambda p: f"{p[0]}-{'mxfp4' if p[1] else 'float'}")
+    def rows_model(self, request):
+        shape, quantized = request.param
+        m = init_seeded(ROWS_CONFIGS[shape], 5)
+        return direct_cast_mxfp4(m) if quantized else m
+
+    @staticmethod
+    def run(model, tokens, start, n, n_logits):
+        """The cache after ``start`` tokens, then a forward of the next n."""
+        cache = KvCache.empty(model.config)
+        if start:
+            forward(model, cache, tokens[:start])
+        return forward(model, cache, tokens[start:start + n], n_logits=n_logits), cache
+
+    def test_grid_crosses_blocks(self):
+        for cfg in ROWS_CONFIGS.values():
+            rows = tinylm.ATTN_BLOCK // (qgemm.A_SLICES * qgemm.W_SLICES
+                                         * cfg.n_heads * cfg.max_seq_len)
+            assert rows < 153 // 2
+
+    # The first case leaves room for 10 more tokens, the second ends at
+    # max_seq_len.
+    @pytest.mark.parametrize("start,n", [(0, 150), (7, 153), (40, 3)])
+    @pytest.mark.parametrize("m", ["0", "1", "2", "n"])
+    def test_last_rows_and_cache(self, rows_model, start, n, m):
+        cfg = rows_model.config
+        m = n if m == "n" else int(m)
+        tokens = [int(t) for t in np.random.default_rng(20).integers(
+            0, cfg.vocab_size, cfg.max_seq_len)]
+        full, full_cache = self.run(rows_model, tokens, start, n, None)
+        got, cache = self.run(rows_model, tokens, start, n, m)
+        assert got.shape == (m, cfg.vocab_size)
+        assert got.tobytes() == full[n - m:].tobytes()
+        assert cache_bytes(cache) == cache_bytes(full_cache)
+        rest = tokens[start + n:][:10]
+        if rest:
+            after = forward(rows_model, cache, rest)
+            assert after.tobytes() == forward(rows_model, full_cache, rest).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 4, 1.0, "1", True, np.float64(2)])
+    def test_bad_n_logits_rejected(self, model, bad):
+        cache = KvCache.empty(CFG)
+        forward(model, cache, [1, 2])
+        before = cache_bytes(cache)
+        with pytest.raises(ValueError, match="n_logits"):
+            forward(model, cache, [4, 5, 6], n_logits=bad)
+        assert cache_bytes(cache) == before
+        got = forward(model, cache, [4, 5, 6], n_logits=np.int64(2))
+        assert got.tobytes() == forward(
+            model, KvCache.empty(CFG), [1, 2, 4, 5, 6])[3:].tobytes()
+
+
 class TestRollback:
     def test_noop(self, model):
         cache = KvCache.empty(CFG)
