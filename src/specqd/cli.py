@@ -51,12 +51,19 @@ def cmd_quantize(args) -> int:
 
 
 def _load_tree(args) -> specdec.SpecTree:
+    """The target, then each ``--draft`` with the ``--spec-len`` and
+    ``--threshold`` values at its position, or the defaults past them."""
     paths = [args.target] + list(args.draft or [])
     spec_lens = list(args.spec_len or [])
     thresholds = list(args.threshold or [])
     for flag, values in (("--spec-len", spec_lens), ("--threshold", thresholds)):
-        if len(values) > len(paths):
-            raise CliError(f"{len(values)} {flag} values for {len(paths)} levels")
+        if len(values) >= len(paths):
+            raise CliError(f"{len(values)} {flag} values for {len(paths)} levels: "
+                           "one per --draft, none for the target")
+    # Level i takes value i - 1. The target drafts nothing and never stops
+    # on confidence, so its placeholders are never read.
+    spec_lens.insert(0, specdec.DEFAULT_SPEC_LEN)
+    thresholds.insert(0, specdec.DEFAULT_THRESHOLD)
     levels = []
     for i, path in enumerate(paths):
         model = artifacts.load_model(path)
@@ -100,9 +107,7 @@ def cmd_gemm_bench(args) -> int:
     rows = [qgemm.BENCH_CSV_HEADER]
     for n in args.n:
         for path in args.paths:
-            res = qgemm.gemm_bench(
-                qgemm.GemmShape(args.m, n, args.k), path, args.reps
-            )
+            res = qgemm.gemm_bench(qgemm.GemmShape(args.m, n, args.k), path)
             rows.append(res.csv_row())
     text = "\n".join(rows) + "\n"
     _write(Path(args.out), text)
@@ -166,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draft", action="append", default=[],
                    help="draft model file, ordered target-first; repeatable")
     p.add_argument("--spec-len", action="append", type=int, default=[],
-                   help="per-level speculation length; repeatable")
+                   help="speculation length of each --draft, in order; repeatable")
     p.add_argument("--threshold", action="append", type=float, default=[],
-                   help="per-level confidence threshold; repeatable")
+                   help="confidence threshold of each --draft, in order; repeatable")
     p.add_argument("--max-new", type=int, default=32)
     p.add_argument("--prompts", required=True)
     p.add_argument("--byte-tokens", action="store_true",
@@ -185,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, nargs="+", default=[1, 2, 4, 8])
     p.add_argument("--paths", nargs="+", default=list(qgemm.GEMM_PATHS),
                    choices=qgemm.GEMM_PATHS)
-    p.add_argument("--reps", type=int, default=9)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("speedup-surface", help="analytic speedup grid CSV")

@@ -217,13 +217,3 @@ def dequantize(t: MxfpTensor) -> np.ndarray:
     decoded = fp4_decode(t.codes).reshape(*t.scale_exp.shape, BLOCK_SIZE)
     out = decoded * scale_values(t.scale_exp)[:, :, None]
     return out.reshape(t.codes.shape)[:, : t.cols]
-
-
-def decoded_weights(t: MxfpTensor):
-    """(decoded E2M1 values over padded cols, per-block scale values).
-
-    Kernel-facing view: scales are kept separate so late scaling can apply
-    them once per 32-element partial accumulation.
-    """
-    return fp4_decode(t.codes).astype(np.float64), scale_values(t.scale_exp)
-

@@ -55,7 +55,8 @@ from .mxfp4 import (
     BLOCK_SIZE,
     CodecError,
     MxfpTensor,
-    decoded_weights,
+    fp4_decode,
+    scale_values,
 )
 
 # max |LUT entry| * max |int8| * block size = 12 * 127 * 32
@@ -261,7 +262,7 @@ def slice_matmul(a_parts: np.ndarray, w_parts: np.ndarray, out: np.ndarray | Non
     return out
 
 
-def gemm_reference(w, a: np.ndarray, n_threads: int | None = None) -> np.ndarray:
+def gemm_reference(w, a: np.ndarray) -> np.ndarray:
     """Float GEMM (M x K) @ (K x N); the comparison baseline.
 
     ``w`` is a ``FloatWeight``, or any 2-D array, which becomes one for
@@ -273,8 +274,6 @@ def gemm_reference(w, a: np.ndarray, n_threads: int | None = None) -> np.ndarray
     any BLAS thread count. Against the exact product, for operands and
     results in float64's normal range, the error is below
     K * max|w[i, :]| * max|a[:, j]| * (2^(1 - 3b) + 2^-49).
-
-    ``n_threads`` is accepted and ignored: BLAS gives the parallelism.
     Raises ``CodecError`` for a non-finite operand.
     """
     if not isinstance(w, FloatWeight):
@@ -340,13 +339,11 @@ def _check_weight_act(w: MxfpTensor, k: int):
         )
 
 
-def gemm_mxfp4_latescale_f32(
-    w: MxfpTensor, a: np.ndarray, n_threads: int | None = None
-) -> np.ndarray:
+def gemm_mxfp4_latescale_f32(w: MxfpTensor, a: np.ndarray) -> np.ndarray:
     """Late-scaling float path: scf * sum(w_i * a_i) per 32-element block.
 
-    One column at a time, in the calling thread; ``n_threads`` is accepted
-    and ignored.
+    One column at a time, with no BLAS call: the decoded E2M1 values keep
+    their block scales apart, so each scale applies once per partial.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -354,8 +351,8 @@ def gemm_mxfp4_latescale_f32(
     _check_weight_act(w, a.shape[0])
     if a.shape[1] == 0:
         return np.zeros((w.rows, 0))
-    decoded, scales = decoded_weights(w)
-    wb = decoded.reshape(w.rows, -1, BLOCK_SIZE)
+    wb = fp4_decode(w.codes).reshape(w.rows, -1, BLOCK_SIZE)
+    scales = scale_values(w.scale_exp)
     a_blocks = a.reshape(-1, BLOCK_SIZE, a.shape[1])
     cols = []
     for j in range(a.shape[1]):
@@ -364,16 +361,13 @@ def gemm_mxfp4_latescale_f32(
     return np.stack(cols, axis=1)
 
 
-def gemm_mxfp4_int8(
-    w: MxfpTensor, a: QuantizedActivationPanel, n_threads: int | None = None
-) -> np.ndarray:
+def gemm_mxfp4_int8(w: MxfpTensor, a: QuantizedActivationPanel) -> np.ndarray:
     """Integer LUT path: exact block dot products, late-scaled once per block.
 
     The (block, column, row) partials come from one float32 BLAS matmul of
     the activations against ``w.int_operand`` per ``COL_CHUNK`` columns,
     exactly (see the module docstring). The output scale folds in the
     LUT's x2 compensation as weight_scale * activation_scale * 0.5.
-    ``n_threads`` is accepted and ignored: BLAS gives the parallelism.
     """
     _check_weight_act(w, a.k)
     w_vals, w_scales = w.int_operand
@@ -437,18 +431,12 @@ class BenchResult:
 BENCH_CSV_HEADER = "path,M,N,K,bytes,seconds,gbps"
 
 
-def gemm_bench(
-    shape: GemmShape,
-    path: str = "int8",
-    repetitions: int = 9,
-    warmups: int = 2,
-    rng: np.random.Generator | None = None,
-) -> BenchResult:
-    """Median-of-repetitions timing of one kernel invocation."""
+def gemm_bench(shape: GemmShape, path: str = "int8") -> BenchResult:
+    """Median of 9 timed calls of one kernel, after 2 untimed warm-up
+    calls, on standard normal operands drawn at seed 0."""
     if path not in GEMM_PATHS:
         raise ValueError(f"unknown gemm path {path!r}")
-    repetitions = max(9, repetitions)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     w_f = rng.standard_normal((shape.m, shape.k))
     a = rng.standard_normal((shape.k, shape.n))
     # Each weight is stationary: the float slices, like the int8 operand,
@@ -465,10 +453,10 @@ def gemm_bench(
         else:
             panel = quantize_activations(a)
             run = lambda: gemm_mxfp4_int8(w_q, panel)
-    for _ in range(max(1, warmups)):
+    for _ in range(2):
         run()
     times = []
-    for _ in range(repetitions):
+    for _ in range(9):
         t0 = time.perf_counter()
         run()
         times.append(time.perf_counter() - t0)

@@ -152,8 +152,10 @@ class GenerationResult:
 class _Session:
     """One level's model plus its cache, which a sharing child also writes;
     the cache records the tokens it covers, and the next forward feeds
-    tokens right after them. ``committed`` is the cache's prefix written by
-    this level's forwards or an ancestor's, the only positions it reads."""
+    tokens right after them. A level calls a sharing child only once the
+    cache holds exactly ``context[:-1]``, so every position the child
+    writes is at or past ``len(context) - 1``, where the level's next
+    ``_unfed`` no longer compares and rolls back."""
 
     def __init__(self, spec: LevelSpec, level: int, child: "_Session | None",
                  cache: KvCache):
@@ -161,16 +163,17 @@ class _Session:
         self.level = level
         self.child = child
         self.cache = cache
-        self.committed = 0
 
     def _unfed(self, context: list[int], stats: AcceptanceStats) -> list[int]:
-        """Roll the cache back to its longest committed prefix shared with
+        """Roll the cache back to its longest prefix shared with
         ``context[:-1]``; return the tokens of ``context`` it still lacks.
 
         The result always ends with ``context[-1]``, so the level's next
-        forward feeds it along with the round's own tokens.
+        forward feeds it along with the round's own tokens. Positions from
+        ``len(context) - 1`` on, the only ones a sharing child can have
+        written since this level's last forward, are never kept.
         """
-        fed = self.cache.tokens[:min(self.committed, len(context) - 1)]
+        fed = self.cache.tokens[:min(self.cache.length, len(context) - 1)]
         differ = np.flatnonzero(fed != context[:fed.size])
         common = int(differ[0]) if differ.size else fed.size
         if common < self.cache.length:
@@ -182,14 +185,6 @@ class _Session:
         as this level's."""
         stats.rolled_back[self.level] += self.cache.length - to_length
         rollback(self.cache, to_length)
-
-    def _commit(self):
-        """The cache's whole length becomes the committed prefix of this
-        level and of every descendant that shares the cache."""
-        s = self
-        while s is not None and s.cache is self.cache:
-            s.committed = self.cache.length
-            s = s.child
 
     def _timed_forward(self, tokens, stats: AcceptanceStats, n_logits: int):
         """The last ``n_logits`` logit rows of a forward of ``tokens``."""
@@ -246,7 +241,6 @@ class _Session:
             prefill = self._unfed(context, stats)[:-1]
             if prefill:
                 self._timed_forward(prefill, stats, n_logits=0)
-                self._commit()
         t1 = time.perf_counter()
         proposed = self.child.propose(context, n_draft, stats) if n_draft else []
         t2 = time.perf_counter()
@@ -262,7 +256,6 @@ class _Session:
         bonus = greedy_next(logits[accepted])
         # Drop cache entries of rejected proposals; bonus stays unprocessed.
         self._rollback(len(context) + accepted, stats)
-        self._commit()
         if proposed:
             stats.record(self.level + 1, len(proposed), accepted)
         if self.child is not None:

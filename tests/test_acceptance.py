@@ -6,7 +6,11 @@ are asserted at their stated tolerances; nothing here is approximate where
 exactness is claimed.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,22 +182,42 @@ def test_gemm_oracle_suite():
     # Integer partial bound.
     assert 12 * 127 * BLOCK_SIZE == qgemm.INT_PARTIAL_BOUND == 48_768
 
-    # Thread-count invariance, all paths.
-    w_f = rng.standard_normal((40, 2 * BLOCK_SIZE))
-    a = rng.standard_normal((2 * BLOCK_SIZE, 5))
-    w_q = quantize_direct_cast(w_f)
-    panel = qgemm.quantize_activations(a)
-    for threads in (2, 5, 8):
-        assert np.array_equal(qgemm.gemm_reference(w_f, a, 1),
-                              qgemm.gemm_reference(w_f, a, threads))
-        assert np.array_equal(qgemm.gemm_mxfp4_latescale_f32(w_q, a, 1),
-                              qgemm.gemm_mxfp4_latescale_f32(w_q, a, threads))
-        assert np.array_equal(qgemm.gemm_mxfp4_int8(w_q, panel, 1),
-                              qgemm.gemm_mxfp4_int8(w_q, panel, threads))
+    # BLAS thread-count invariance: the reference and int8 paths at shapes
+    # whose matmuls OpenBLAS splits across threads, byte for byte.
+    src = str(Path(qgemm.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _GEMM_THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
     _report("gemm oracle suite", True,
             f"float path worst rel {worst_rel:.2e}, int8 bit-exact, "
-            "rational identity, bound 48768, thread-invariant")
+            "rational identity, bound 48768, reference and int8 "
+            "thread-invariant at 1 and 2 BLAS threads, latescale makes no "
+            "BLAS call")
+
+
+# One digest each for a reference GEMM of (300, 200) by (200, 70) and an
+# int8 GEMM of 4096 rows, K = 64, N = 16: OpenBLAS splits both kernels'
+# matmuls across threads.
+_GEMM_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from specqd import qgemm
+from specqd.mxfp4 import quantize_direct_cast
+rng = np.random.default_rng(0)
+ref = qgemm.gemm_reference(rng.standard_normal((300, 200)),
+                           rng.standard_normal((200, 70)))
+int8 = qgemm.gemm_mxfp4_int8(
+    quantize_direct_cast(rng.standard_normal((4096, 64))),
+    qgemm.quantize_activations(rng.standard_normal((64, 16))))
+for out in (ref, int8):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
 
 
 # ---------------------------------------------------------------- criterion 4

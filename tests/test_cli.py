@@ -138,8 +138,7 @@ class TestGenerate:
         out_dir = tmp_path / "spec"
         rc = main([
             "generate", "--target", str(target), "--draft", str(draft),
-            "--spec-len", "4", "--spec-len", "4",
-            "--threshold", "0.0", "--threshold", "0.0",
+            "--spec-len", "4", "--threshold", "0.0",
             "--prompts", str(prompts), "--max-new", "12",
             "--out", str(out_dir),
         ])
@@ -208,7 +207,7 @@ class TestGenerate:
                     "--out", str(tmp_path / "g")])
         greedy_out = capsys.readouterr().out.strip().splitlines()
         rc2 = main(["generate", "--target", str(target), "--draft", str(draft),
-                    "--threshold", "0.4", "--threshold", "0.4",
+                    "--threshold", "0.4",
                     "--prompts", str(prompts), "--max-new", "10",
                     "--out", str(tmp_path / "s")])
         spec_out = capsys.readouterr().out.strip().splitlines()
@@ -256,6 +255,8 @@ class TestGenerate:
         (["--eos", "999"], "error: eos token id 999 outside [0, 256)"),
         (["--eos", "-1"], "error: eos token id -1 outside [0, 256)"),
         (["--spec-len", "4"] * 3, "error: 3 --spec-len values for 2 levels"),
+        (["--threshold", "0"] * 2, "error: 2 --threshold values for 2 levels: "
+                                   "one per --draft, none for the target"),
     ])
     def test_bad_request_is_an_error(self, models, tmp_path, capsys, flags,
                                      message):
@@ -267,6 +268,27 @@ class TestGenerate:
         assert rc == 1
         out, err = capsys.readouterr()
         assert message in err and out == ""
+
+    def test_flags_set_each_draft_in_order(self, models, tmp_path, capsys,
+                                           monkeypatch):
+        # The target drafts nothing, so the first value is the first
+        # draft's; a draft past the values given keeps the defaults.
+        target, draft, prompts = models
+        trees = []
+        run = specdec.run_benchmark
+        monkeypatch.setattr(specdec, "run_benchmark",
+                            lambda tree, *a, **kw: trees.append(tree) or
+                            run(tree, *a, **kw))
+        out_dir = tmp_path / "o"
+        assert main(["generate", "--target", str(target), "--draft", str(draft),
+                     "--draft", str(draft), "--spec-len", "3",
+                     "--threshold", "0", "--prompts", str(prompts),
+                     "--max-new", "12", "--out", str(out_dir)]) == 0
+        [tree] = trees
+        assert [(lv.spec_len, lv.threshold) for lv in tree.levels[1:]] == [
+            (3, 0.0), (specdec.DEFAULT_SPEC_LEN, specdec.DEFAULT_THRESHOLD)]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert 1 < summary["per_level_mean_proposal"]["1"] <= 3
 
     def test_empty_prompts_error(self, models, tmp_path, capsys):
         target, _, _ = models
@@ -281,7 +303,7 @@ class TestGemmBench:
     def test_csv_written(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         rc = main(["gemm-bench", "--m", "64", "--k", "64", "--n", "1", "2",
-                   "--paths", "int8", "--reps", "9", "--out", str(out)])
+                   "--paths", "int8", "--out", str(out)])
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "path,M,N,K,bytes,seconds,gbps"
@@ -290,7 +312,7 @@ class TestGemmBench:
     def test_latescale_path(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         rc = main(["gemm-bench", "--m", "64", "--k", "64", "--n", "1",
-                   "--paths", "latescale_f32", "--reps", "3", "--out", str(out)])
+                   "--paths", "latescale_f32", "--out", str(out)])
         assert rc == 0
         assert out.read_text().splitlines()[1].startswith("latescale_f32,64,1,64,")
 
@@ -348,7 +370,7 @@ class TestParserBuiltOnce:
         # The same through main: a two-level run, then a greedy one.
         levels = []
         for flags in (["--draft", str(draft), "--spec-len", "3",
-                       "--threshold", "0.0", "--threshold", "0.2"], []):
+                       "--threshold", "0.2"], []):
             out_dir = tmp_path / f"run{len(levels)}"
             assert main(["generate", "--target", str(target), "--prompts",
                          str(prompts), "--max-new", "4", "--out", str(out_dir)]
