@@ -31,8 +31,9 @@ class SpeedupParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha={self.alpha} outside [0, 1]")
-        if self.n <= 0 or self.s <= 0:
-            raise ValueError("N and S must be positive")
+        # Written so that NaN fails; S = inf is a draft that costs nothing.
+        if not (self.n > 0 and self.s > 0):
+            raise ValueError(f"N and S must be positive, got N={self.n}, S={self.s}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,8 @@ class RooflinePoint:
     compute: float  # flops / s
 
     def __post_init__(self):
-        if min(self.intensity, self.bandwidth, self.compute) <= 0:
-            raise ValueError("roofline fields must be positive")
+        if not all(x > 0 for x in (self.intensity, self.bandwidth, self.compute)):
+            raise ValueError(f"roofline fields must be positive, got {self}")
 
 
 def speedup_sd(p: SpeedupParams) -> float:
@@ -59,8 +60,8 @@ def speedup_sd(p: SpeedupParams) -> float:
 
 def effective_draft_speed(inner: SpeedupParams, s1: float) -> float:
     """S' for a level-1 draft that is itself accelerated by its sub-draft."""
-    if s1 <= 0:
-        raise ValueError("S1 must be positive")
+    if not s1 > 0:
+        raise ValueError(f"S1 must be positive, got {s1}")
     return s1 * speedup_sd(inner)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -213,12 +214,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_nan(args):
+    """A NaN float flag is an error, not a NaN result."""
+    for name, value in vars(args).items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and math.isnan(v):
+                raise CliError(f"--{name.replace('_', '-')} must be a number, got nan")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # The subcommand's function is looked up by name at call time, so a
     # wrapper set on this module's ``cmd_*`` attribute is the one called.
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        _reject_nan(args)
         return command(args)
     except (CliError, artifacts.ArtifactError, specdec.LosslessnessError,
             ValueError, OSError, MemoryError) as exc:

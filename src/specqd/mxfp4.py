@@ -29,6 +29,10 @@ BITS_PER_ELEMENT = 4.25
 
 E8M0_BIAS = 127
 
+# The exponent bounds of a tensor or panel with no nonzero block: lo =
+# NO_BLOCK and hi = -NO_BLOCK pass every range check.
+NO_BLOCK = 1 << 30
+
 
 class CodecError(ValueError):
     """Raised on invalid codec inputs (non-finite values, bad shapes)."""
@@ -86,7 +90,8 @@ def fp4_to_int8_lut():
     """16-entry FP4 -> int8 table: entry = 2 * fp4_decode(code).
 
     The doubling makes every entry integral ({0, +-1, ..., +-12}); the
-    compensating factor of 2^-1 is applied by the GEMM output scaling.
+    GEMM's folded weight operand compensates with a block scale of
+    2^(E8M0 exponent - 1) (``MxfpTensor.folded_operand``).
     """
     return (2.0 * fp4_decode(np.arange(16, dtype=np.uint8))).astype(np.int8)
 
@@ -138,20 +143,34 @@ class MxfpTensor:
         return self.codes.size // 2 + self.scale_exp.size
 
     @cached_property
-    def int_operand(self):
-        """(doubled E2M1 values, block scale values) for the int8 GEMM.
+    def folded_operand(self) -> tuple[np.ndarray | None, int, int, int]:
+        """(W', spread, lo, hi) for the MXFP4 GEMM, built on first use and
+        kept, so casting or loading a model does not pay for it.
 
-        The values are the ``fp4_to_int8_lut`` entries as float32 in
-        contiguous (block, 32, row) layout: each block is a row-major
-        (32, rows) matrix, so one batched matmul yields every block's
-        partial without a transposed operand. The scales have shape
-        (blocks, rows). Built on first use and kept, so casting or loading
-        a model does not pay for it.
+        Every weight is d * 2^e, for d = ``fp4_to_int8_lut()[code]`` (an
+        integer, |d| <= 12) and e its block's E8M0 exponent minus 1. W' is
+        the (padded_cols, rows) float32 matrix of those values, the
+        transposed ``dequantize``, exact whenever every nonzero weight is a
+        normal float32 (-126 <= e <= 124), and None otherwise. spread is
+        the largest, over rows, of max - min of e over a row's nonzero
+        blocks (those with a nonzero code); lo and hi are the smallest and
+        largest e over the tensor's nonzero blocks (NO_BLOCK and -NO_BLOCK
+        if there are none).
         """
-        lut = fp4_to_int8_lut().astype(np.float32)
-        values = lut[self.codes].reshape(*self.scale_exp.shape, BLOCK_SIZE)
-        return (np.ascontiguousarray(values.transpose(1, 2, 0)),
-                np.ascontiguousarray(scale_values(self.scale_exp).T))
+        rows, blocks = self.scale_exp.shape
+        nonzero = (self.codes & 0x7).reshape(rows, blocks, BLOCK_SIZE).any(axis=2)
+        exps = self.scale_exp.astype(np.int32) - (E8M0_BIAS + 1)
+        row_hi = np.max(exps, axis=1, where=nonzero, initial=-NO_BLOCK)
+        row_lo = np.min(exps, axis=1, where=nonzero, initial=NO_BLOCK)
+        spread = int(np.max(row_hi - row_lo, initial=0))
+        lo, hi = int(np.min(row_lo, initial=NO_BLOCK)), int(np.max(row_hi, initial=-NO_BLOCK))
+        values = None
+        if lo >= -126 and hi <= 124:
+            values = fp4_to_int8_lut().astype(np.float32)[self.codes].reshape(
+                rows, blocks, BLOCK_SIZE)
+            values *= np.ldexp(np.float32(1), exps)[:, :, None]
+            values = np.ascontiguousarray(values.reshape(rows, -1).T)
+        return values, spread, lo, hi
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MxfpTensor):

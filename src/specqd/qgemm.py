@@ -1,6 +1,6 @@
 """Weight-quantized GEMM kernels for the skinny-N shapes of draft/verify.
 
-Three paths sharing one arithmetic contract:
+Three paths:
 
 * ``gemm_reference``     — float GEMM, the oracle everything is checked
                            against (dequantize-then-multiply), and the
@@ -8,21 +8,34 @@ Three paths sharing one arithmetic contract:
 * ``gemm_mxfp4_latescale_f32`` — decodes E2M1 weights to float, accumulates
                            each 32-element block, then applies the block
                            scale once to the partial accumulator.
-* ``gemm_mxfp4_int8``    — integer fast path: weights via the x2 FP4->int8
-                           lookup table against int8 activations, one
-                           integer partial per block, scaled by
-                           weight_scale * activation_scale * 2^-1.
+* ``gemm_mxfp4_int8``    — the MXFP4 draft's path: MXFP4 weights against
+                           MXINT8-style activations (``quantize_activations``:
+                           int8 values under a power-of-two scale per
+                           32-element block), as one float32 BLAS call.
 
-The int8 path is weights-stationary. Each MxfpTensor packs its LUT values
-as float32 in a contiguous (block, 32, row) layout once, on first use
-(``MxfpTensor.int_operand``): every block is a row-major (32, rows)
-matrix, so one batched BLAS matmul per call gives the partials of every
-block, column and row without a transposed operand. That is exact: a
-partial is an integer of magnitude at most INT_PARTIAL_BOUND = 48,768 <
-2^24, and so is every partial sum of its terms, so float32 represents each
-step and any summation order BLAS picks gives the same bits. Only the
-cross-block sum of scaled partials is rounded, and ``fold_sum`` does it in
-a fixed order.
+The MXFP4 path folds both operands' scales in ahead of time. A weight is
+d * 2^e with d a doubled E2M1 value (|d| <= 12) and e its block's scale
+exponent minus 1; each MxfpTensor keeps them as one (K, M) float32 matrix
+W' built on first use (``MxfpTensor.folded_operand``). An activation is
+q * 2^s with |q| <= 127, and ``quantize_activations`` returns them as an
+(N, K) float32 operand a'. So y = a' @ W' is a single sgemm, and every
+term of a dot product is an integer below 12 * 127 < 2^11 (TERM_BITS)
+times a power of two. The terms' exponents span at most spread_w +
+spread_a, the weight rows' and the activation columns' largest spreads of
+block exponents, so whenever
+
+    spread_w + spread_a + 11 + ceil(log2 K) <= 24
+
+every partial sum of any subset of the terms is a multiple of the smallest
+term exponent's power of two with at most 24 significant bits: float32
+holds it exactly, so BLAS gives the exact sum in any order, batch or
+thread count. The exponent ranges must also keep operands, terms and sums
+normal float32s. Both operands carry these facts as Python ints, the
+activations' computed once per panel by the quantizer, so the check costs
+a few integer comparisons per call. It is conservative: a panel outside
+it falls back to the exact-slice reference product of the dequantized
+operands, which is exact too wherever a column is inside the window, so a
+column's bits never depend on the path its call took.
 
 ``gemm_reference`` is exact the same way, after an Ozaki-style error-free
 split (Ozaki et al. 2012, Numer. Algorithms 59) that attention in
@@ -44,6 +57,8 @@ in the calling thread; BLAS is the only source of parallelism.
 
 from __future__ import annotations
 
+import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -53,18 +68,17 @@ import numpy as np
 from .mxfp4 import (
     BITS_PER_ELEMENT,
     BLOCK_SIZE,
+    NO_BLOCK,
     CodecError,
     MxfpTensor,
+    dequantize,
     fp4_decode,
     scale_values,
 )
 
-# max |LUT entry| * max |int8| * block size = 12 * 127 * 32
-INT_PARTIAL_BOUND = 48_768
-
-# Output columns per block reduction in the int8 kernel; bounds its
-# (blocks, columns, rows) temporaries for long prefills.
-COL_CHUNK = 16
+# A term of the MXFP4 GEMM is at most max |doubled E2M1| * max |int8| =
+# 12 * 127 = 1524 < 2^TERM_BITS times its power of two.
+TERM_BITS = 11
 
 # The exact-slice format: W_SLICES weight slices of W_SLICE_BITS bits and
 # A_SLICES activation slices of ``slice_bits(K)`` bits. ``FloatWeight`` and
@@ -110,22 +124,28 @@ class GemmShapeError(ValueError):
 
 @dataclass
 class QuantizedActivationPanel:
-    """Per-(32-row-block, column) symmetric int8 activations.
+    """MXINT8-style activations and the facts of their exponent window.
 
-    values: int8, shape (K, N); scales: float, shape (K // 32, N).
-    Dequantized activation = value * scale.
+    operand: shape (N, K), row j the panel's column j, each value q * 2^s
+    for an integer |q| <= 127 and its block's exponent s; float32 when
+    every nonzero value is a normal float32, float64 otherwise, exact
+    either way. spread: the largest, over columns, of max - min of s over
+    a column's blocks; lo, hi: the smallest and largest s (NO_BLOCK and
+    -NO_BLOCK for an empty panel).
     """
 
-    values: np.ndarray
-    scales: np.ndarray
+    operand: np.ndarray
+    spread: int
+    lo: int
+    hi: int
 
     @property
     def k(self) -> int:
-        return self.values.shape[0]
+        return self.operand.shape[1]
 
     @property
     def n(self) -> int:
-        return self.values.shape[1]
+        return self.operand.shape[0]
 
 
 @dataclass(frozen=True)
@@ -281,6 +301,13 @@ def gemm_reference(w, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or w.shape[1] != a.shape[0]:
         raise GemmShapeError(f"cannot multiply {w.shape} by {a.shape}")
+    return _slice_gemm(w, a)
+
+
+def _slice_gemm(w: FloatWeight, a: np.ndarray) -> np.ndarray:
+    """``gemm_reference`` of conforming operands. The MXFP4 GEMM's
+    fallback calls it here, so that a tracer wrapping ``gemm_reference``
+    sees only the model's float weights."""
     (m, k), n = w.shape, a.shape[1]
     if min(m, k, n) == 0:
         return np.zeros((m, n))
@@ -303,33 +330,74 @@ def gemm_reference(w, a: np.ndarray) -> np.ndarray:
 
 
 def quantize_activations(a: np.ndarray) -> QuantizedActivationPanel:
-    """Symmetric int8 quantization, one scale per (32-row block, column).
+    """MXINT8-style quantization of a (K, N) panel, one power-of-two scale
+    per (32-row block, column), as the OCP microscaling formats define it
+    (Rouhani et al. 2023, arXiv:2310.10537).
 
-    scale = max|block| / 127 (1.0 for an all-zero block); values rounded
-    half-to-even and clamped to [-127, 127]. One pass: |a|, then a over
-    its scale, rounded and clamped in place in the same buffer.
+    A block's scale is 2^s with s = floor(log2 max|block|) - 6; an
+    all-zero block takes s = -7, as if its maximum were 1/2, which keeps
+    the quantizer free of masks. Each value becomes q * 2^s, the multiple
+    of 2^s nearest to it, ties to even, with q clamped to [-127, 127]; a
+    zero is +0.0. Where 2^s is below float64's smallest step, 2^-1074,
+    that leaves a value as it is. ``CodecError`` for a non-finite value.
+
+    The panel's operand holds q * 2^s row by row of columns. Its window
+    facts come from the block maxima alone, once per panel, so the linears
+    that share it share them too (see the module docstring).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] % BLOCK_SIZE:
         raise GemmShapeError(f"activation shape {a.shape} not K-blockable")
     k, n = a.shape
-    blocks = a.reshape(k // BLOCK_SIZE, BLOCK_SIZE, n)
-    q = np.abs(blocks)
-    absmax = q.max(axis=1)
-    if not np.isfinite(absmax).all():  # a NaN or an infinity reaches its maximum
+    # Columns as rows, so that each block is a contiguous run of 32 values.
+    flat = np.ascontiguousarray(a.T).reshape(-1)
+    if not flat.size:
+        return QuantizedActivationPanel(np.zeros((n, k), np.float32), 0, NO_BLOCK, -NO_BLOCK)
+    absmax = np.maximum.reduceat(np.abs(flat), _starts(flat.size, BLOCK_SIZE))
+    # max|block| = m * 2^e with m in [0.5, 1), or m = e = 0; s = e - 7.
+    mant, exps = np.frexp(absmax)
+    top = float(np.maximum.reduce(mant))
+    if not top < 1.0:  # a NaN or an infinity
         raise CodecError("quantize_activations requires finite inputs")
-    zero = absmax == 0.0
-    scales = np.divide(absmax, 127.0, out=absmax)
-    scales += zero  # 1.0 for an all-zero block, exactly
-    np.rint(np.divide(blocks, scales[:, None, :], out=q), out=q)
-    np.maximum(np.minimum(q, 127.0, out=q), -127.0, out=q)
-    return QuantizedActivationPanel(values=q.astype(np.int8).reshape(k, n), scales=scales)
+    cols = _starts(exps.size, k // BLOCK_SIZE)
+    lows = np.minimum.reduceat(exps, cols).tolist()
+    highs = np.maximum.reduceat(exps, cols).tolist()
+    spread = max(map(operator.sub, highs, lows))
+    lo, hi = min(lows) - 7, max(highs) - 7
+    if lo < -1074:  # these blocks' values are multiples of 2^s already
+        np.maximum(exps, 7 - 1074, out=exps)
+    if hi <= 971:
+        # x + c rounds x to a multiple of 2^s, half to even, for c = 1.5 *
+        # 2^(s + 52), whose float64 step that is; subtracting c is exact.
+        c = np.repeat(np.ldexp(1.5 * 2.0 ** 45, exps), BLOCK_SIZE)
+        values = flat + c
+        values -= c
+    else:  # such a c would overflow
+        scales = np.repeat(np.ldexp(2.0 ** -7, exps), BLOCK_SIZE)
+        values = np.rint(flat / scales)
+        values *= scales
+        values += 0.0  # -0.0 to +0.0
+    if top >= 127.5 / 128:  # a block maximum rounded to 128 * 2^s
+        bound = np.repeat(np.ldexp(127 / 128, exps), BLOCK_SIZE)
+        np.minimum(values, bound, out=values)
+        np.maximum(values, np.negative(bound, out=bound), out=values)
+    # Nonzero values q * 2^s lie in [2^s, 2^(s + 7)).
+    if lo >= -126 and hi <= 121:
+        values = values.astype(np.float32)
+    return QuantizedActivationPanel(values.reshape(n, k), spread, lo, hi)
+
+
+@lru_cache(maxsize=256)
+def _starts(size: int, step: int) -> np.ndarray:
+    """The offsets 0, step, 2 * step, ... below size, for ``reduceat``."""
+    starts = np.arange(0, size, step)
+    starts.flags.writeable = False  # shared by every caller
+    return starts
 
 
 def dequantize_activations(panel: QuantizedActivationPanel) -> np.ndarray:
-    blocks = panel.values.astype(np.float64).reshape(
-        panel.k // BLOCK_SIZE, BLOCK_SIZE, panel.n)
-    return (blocks * panel.scales[:, None, :]).reshape(panel.k, panel.n)
+    """The panel's (K, N) activations after quantization, as float64."""
+    return panel.operand.T.astype(np.float64)
 
 
 def _check_weight_act(w: MxfpTensor, k: int):
@@ -362,42 +430,37 @@ def gemm_mxfp4_latescale_f32(w: MxfpTensor, a: np.ndarray) -> np.ndarray:
 
 
 def gemm_mxfp4_int8(w: MxfpTensor, a: QuantizedActivationPanel) -> np.ndarray:
-    """Integer LUT path: exact block dot products, late-scaled once per block.
+    """(M, N) product of an MXFP4 weight and a quantized panel, the exact
+    sum of their dequantized products wherever the window allows.
 
-    The (block, column, row) partials come from one float32 BLAS matmul of
-    the activations against ``w.int_operand`` per ``COL_CHUNK`` columns,
-    exactly (see the module docstring). The output scale folds in the
-    LUT's x2 compensation as weight_scale * activation_scale * 0.5.
+    Inside the window (module docstring), checked per panel from the two
+    operands' facts, it is one float32 BLAS call a' @ W', exact. Outside
+    it, the exact-slice reference product of the dequantized operands.
+    Inside the window both give the exact sum, so the result always
+    equals ``gemm_reference(dequantize(w), dequantize_activations(a))``
+    bit for bit, and a zero is +0.0 either way.
     """
     _check_weight_act(w, a.k)
-    w_vals, w_scales = w.int_operand
-    # Columns lead and rows trail, so the scaling broadcasts along rows.
-    act = a.values.astype(np.float32).reshape(
-        a.k // BLOCK_SIZE, BLOCK_SIZE, a.n).transpose(0, 2, 1)
-    return _int8_kernel(act, (a.scales * 0.5)[:, :, None], w_vals, w_scales)
-
-
-def _int8_kernel(act, a_scales, w_vals, w_scales) -> np.ndarray:
-    """(rows, columns) of the int8 GEMM of (block, column, 32) activations
-    on a (block, 32, row) operand, ``COL_CHUNK`` columns at a time; the
-    split moves no result bit."""
-    if act.shape[1] > COL_CHUNK:
-        return np.concatenate([
-            _int8_kernel(act[:, j:j + COL_CHUNK], a_scales[:, j:j + COL_CHUNK],
-                         w_vals, w_scales)
-            for j in range(0, act.shape[1], COL_CHUNK)], axis=1)
-    # partial * (w scale * a scale / 2), the tests' oracle order: another
-    # order rounds differently once a product leaves float64's normal range.
-    scaled = np.multiply(w_scales[:, None, :], a_scales)
-    np.multiply(np.matmul(act, w_vals), scaled, out=scaled)
-    return fold_sum(scaled, axis=0).T
+    w_op, w_spread, w_lo, w_hi = w.folded_operand
+    bits = TERM_BITS + (a.k - 1).bit_length()
+    if (w_op is not None and a.operand.dtype == np.float32
+            and w_spread + a.spread + bits <= 24
+            and w_lo + a.lo >= -126 and w_hi + a.hi + bits <= 128):
+        out = np.matmul(a.operand, w_op)
+    else:
+        out = _slice_gemm(FloatWeight(dequantize(w)),
+                          dequantize_activations(a)[:w.cols]).T
+    # x + 0.0 is x, but +0.0 for -0.0.
+    return np.add(out, 0.0, out=np.empty(out.shape)).T
 
 
 def gemm_bytes(shape: GemmShape, path: str) -> int:
     """Compulsory traffic per iteration: weights + activations + output once.
 
     MXFP4 weights count 4.25 bits/element; the reference path counts 32-bit
-    float weights. Activations and output count as 32-bit floats.
+    float weights. Activations and output count as 32-bit floats: the
+    MXFP4 GEMM reads its activations as one float32 operand, with their
+    scales folded in.
     """
     if path not in GEMM_PATHS:
         raise ValueError(f"unknown gemm path {path!r}")
@@ -405,11 +468,7 @@ def gemm_bytes(shape: GemmShape, path: str) -> int:
         weight_bytes = shape.m * shape.k * 4
     else:
         weight_bytes = int(shape.m * shape.k * BITS_PER_ELEMENT / 8)
-    act_bytes = shape.k * shape.n * (1 if path == "int8" else 4)
-    if path == "int8":
-        act_bytes += (shape.k // BLOCK_SIZE) * shape.n * 4  # activation scales
-    out_bytes = shape.m * shape.n * 4
-    return weight_bytes + act_bytes + out_bytes
+    return weight_bytes + shape.k * shape.n * 4 + shape.m * shape.n * 4
 
 
 @dataclass
@@ -433,14 +492,15 @@ BENCH_CSV_HEADER = "path,M,N,K,bytes,seconds,gbps"
 
 def gemm_bench(shape: GemmShape, path: str = "int8") -> BenchResult:
     """Median of 9 timed calls of one kernel, after 2 untimed warm-up
-    calls, on standard normal operands drawn at seed 0."""
+    calls, on standard normal operands drawn at seed 0. The int8 path's
+    call quantizes the activations too, as a model's linear does."""
     if path not in GEMM_PATHS:
         raise ValueError(f"unknown gemm path {path!r}")
     rng = np.random.default_rng(0)
     w_f = rng.standard_normal((shape.m, shape.k))
     a = rng.standard_normal((shape.k, shape.n))
-    # Each weight is stationary: the float slices, like the int8 operand,
-    # are built by the first warm-up call, not timed.
+    # Each weight is stationary: the float slices, like the folded MXFP4
+    # operand, are built by the first warm-up call, not timed.
     if path == "reference":
         w_ref = FloatWeight(w_f)
         run = lambda: gemm_reference(w_ref, a)
@@ -451,8 +511,7 @@ def gemm_bench(shape: GemmShape, path: str = "int8") -> BenchResult:
         if path == "latescale_f32":
             run = lambda: gemm_mxfp4_latescale_f32(w_q, a)
         else:
-            panel = quantize_activations(a)
-            run = lambda: gemm_mxfp4_int8(w_q, panel)
+            run = lambda: gemm_mxfp4_int8(w_q, quantize_activations(a))
     for _ in range(2):
         run()
     times = []

@@ -6,9 +6,10 @@ or ``gemm_mxfp4_int8``, so swapping a model's linear weights for their MXFP4
 direct cast is a one-call transformation with nothing to tune.
 
 Forward passes are bit-deterministic: every reduction for a position is
-either exact on BLAS (the float GEMM and attention, see ``_attention``)
-or taken in a fixed order over that position's own data (layer norm, the
-MXFP4 GEMMs' cross-block sums). So processing a batch of new positions
+either exact on BLAS (the float GEMM, the MXFP4 GEMM's single float32
+sgemm inside its exponent window or its exact-slice fallback outside it,
+and attention, see ``_attention``) or taken in a fixed order over that
+position's own data (layer norm). So processing a batch of new positions
 equals processing them one at a time, token for token and bit for bit,
 at any BLAS thread count.
 """
@@ -87,9 +88,10 @@ class LinearWeight:
 
     def _operand(self, x: np.ndarray):
         """The GEMM's right-hand side for x of shape (n_tokens, in_features)."""
-        a = np.ascontiguousarray(x.T)
         if not self.is_quantized:
-            return a
+            return np.ascontiguousarray(x.T)
+        # The quantizer reads columns as rows: x itself, when it needs no pad.
+        a = x.T
         pad = self.weight.padded_cols - a.shape[0]
         if pad:
             a = np.pad(a, ((0, pad), (0, 0)))
@@ -118,8 +120,8 @@ class LinearWeight:
                 operands[key] = self._operand(x)
             a = operands[key]
             if rows < n:
-                a = (qgemm.QuantizedActivationPanel(a.values[:, n - rows:],
-                                                    a.scales[:, n - rows:])
+                # A panel's window facts hold for any of its columns.
+                a = (replace(a, operand=a.operand[n - rows:])
                      if self.is_quantized else a[:, n - rows:])
         if not self.is_quantized:
             return qgemm.gemm_reference(self.weight, a).T

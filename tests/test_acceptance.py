@@ -179,8 +179,8 @@ def test_gemm_oracle_suite():
             scf * wi * ai for wi, ai in zip(wq, aq)
         )
 
-    # Integer partial bound.
-    assert 12 * 127 * BLOCK_SIZE == qgemm.INT_PARTIAL_BOUND == 48_768
+    # Term bound of the MXFP4 GEMM's exact float32 window.
+    assert (12 * 127).bit_length() == qgemm.TERM_BITS == 11
 
     # BLAS thread-count invariance: the reference and int8 paths at shapes
     # whose matmuls OpenBLAS splits across threads, byte for byte.
@@ -196,7 +196,7 @@ def test_gemm_oracle_suite():
 
     _report("gemm oracle suite", True,
             f"float path worst rel {worst_rel:.2e}, int8 bit-exact, "
-            "rational identity, bound 48768, reference and int8 "
+            "rational identity, term bound 2^11, reference and int8 "
             "thread-invariant at 1 and 2 BLAS threads, latescale makes no "
             "BLAS call")
 

@@ -25,6 +25,16 @@ class TestSpeedupFormula:
         with pytest.raises(ValueError):
             SpeedupParams(0.5, 4, -1)
 
+    @pytest.mark.parametrize("alpha, n, s", [(np.nan, 4, 4), (0.5, np.nan, 4),
+                                             (0.5, 4, np.nan)])
+    def test_nan_rejected(self, alpha, n, s):
+        with pytest.raises(ValueError):
+            SpeedupParams(alpha, n, s)
+
+    def test_free_draft_is_valid(self):
+        # S = inf is a draft with no cost, such as a lookup level.
+        assert speedup_sd(SpeedupParams(0.5, 4, np.inf)) == 0.5 * 4 + 1
+
     def test_perfect_draft_free_speed(self):
         # alpha=1 with an infinitely fast draft approaches N+1.
         sp = speedup_sd(SpeedupParams(1.0, 4, 1e12))
@@ -67,6 +77,11 @@ class TestMultiLevel:
         assert effective_draft_speed(inner, 4.0) == pytest.approx(
             4.0 * speedup_sd(inner)
         )
+
+    @pytest.mark.parametrize("s1", [0.0, -1.0, np.nan])
+    def test_effective_speed_validation(self, s1):
+        with pytest.raises(ValueError):
+            effective_draft_speed(SpeedupParams(0.5, 4, 25.0), s1)
 
     def test_composition_equals_manual(self):
         p = MultiLevelParams(
@@ -158,6 +173,13 @@ class TestRoofline:
     def test_validation(self):
         with pytest.raises(ValueError):
             RooflinePoint(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_nan_rejected(self, field):
+        values = [1.0, 1e9, 1e12]
+        values[field] = np.nan
+        with pytest.raises(ValueError):
+            RooflinePoint(*values)
 
 
 class TestIntensity:

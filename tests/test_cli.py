@@ -349,6 +349,32 @@ class TestSurfaceAndRoofline:
         assert len(lines) == 1 + 2 * 3  # two N values x three formats
 
 
+    # Every float flag, the ones a mode does not read included.
+    @pytest.mark.parametrize("argv, flag", [
+        (["speedup-surface", "--s", "4", "nan"], "--s"),
+        (["speedup-surface", "--spec-len", "nan"], "--spec-len"),
+        (["speedup-surface", "--s1", "nan"], "--s1"),
+        (["speedup-surface", "--s2", "nan"], "--s2"),
+        (["speedup-surface", "--mode", "multi", "--s1", "nan"], "--s1"),
+        (["speedup-surface", "--mode", "multi", "--s2", "nan"], "--s2"),
+        (["speedup-surface", "--mode", "multi", "--s", "nan"], "--s"),
+        (["roofline", "--bandwidth", "nan"], "--bandwidth"),
+        (["roofline", "--compute", "nan"], "--compute"),
+    ])
+    def test_nan_flag_is_an_error(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be a number, got nan\n"
+        assert not out.exists()
+
+    def test_infinite_s_is_a_free_draft(self, tmp_path, capsys):
+        out = tmp_path / "surface.csv"
+        assert main(["speedup-surface", "--grid", "2", "--s", "inf",
+                     "--spec-len", "4", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "0.000000,inf,1.000000000", "1.000000,inf,5.000000000"]
+
+
 class TestParserBuiltOnce:
     GENERATE = ["generate", "--target", "t.bin", "--prompts", "p.txt",
                 "--out", "o"]

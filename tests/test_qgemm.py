@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from specqd import mxfp4, qgemm
 from specqd.mxfp4 import (
     BLOCK_SIZE,
+    NO_BLOCK,
     CodecError,
     MxfpTensor,
     dequantize,
     quantize_direct_cast,
 )
 from specqd.qgemm import (
-    INT_PARTIAL_BOUND,
+    TERM_BITS,
     BenchResult,
     FloatWeight,
     GemmShape,
@@ -142,8 +144,8 @@ class TestReference:
             np.random.default_rng(4).standard_normal((5, 2 * BLOCK_SIZE)))
         a = np.zeros((2 * BLOCK_SIZE, 0))
         panel = quantize_activations(a)
-        assert panel.values.shape == (2 * BLOCK_SIZE, 0)
-        assert panel.scales.shape == (2, 0)
+        assert panel.operand.shape == (0, 2 * BLOCK_SIZE)
+        assert (panel.spread, panel.lo, panel.hi) == (0, NO_BLOCK, -NO_BLOCK)
         assert dequantize_activations(panel).shape == (2 * BLOCK_SIZE, 0)
         for got in (gemm_mxfp4_int8(w, panel), gemm_mxfp4_latescale_f32(w, a),
                     gemm_reference(dequantize(w), a)):
@@ -210,48 +212,93 @@ class TestFoldSum:
 
 
 def quantize_activations_oracle(a):
-    """The quantizer as first written: np.round/np.clip/np.where wrappers
-    and a finiteness check over the whole panel."""
+    """The MXINT8-style format one (block, column) at a time in exact
+    rational arithmetic: scale 2^s with s = floor(log2 max|block|) - 6, or
+    s = -7 for an all-zero block; values rounded to multiples of the scale
+    half to even, clamped to +-127 times it, zeros +0.0.
+
+    Returns the (K, N) values, each block's s ([block][column]) and the
+    window facts (spread, lo, hi).
+    """
     a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise CodecError("quantize_activations requires finite inputs")
     k, n = a.shape
-    blocks = a.reshape(-1, BLOCK_SIZE, n)
-    absmax = np.max(np.abs(blocks), axis=1)
-    scales = np.where(absmax == 0.0, 1.0, absmax / 127.0)
-    q = np.round(blocks / scales[:, None, :])
-    values = np.clip(q, -127, 127).astype(np.int8).reshape(k, n)
-    return values, scales
+    values = np.empty((k, n))
+    exps = [[0] * n for _ in range(k // BLOCK_SIZE)]
+    for b in range(k // BLOCK_SIZE):
+        for j in range(n):
+            rows = slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)
+            block = [Fraction(float(v)) for v in a[rows, j]]
+            top = max(abs(v) for v in block)
+            s = math.frexp(float(top))[1] - 7 if top else -7
+            scale = Fraction(2) ** s
+            values[rows, j] = [float(max(-127, min(127, round(v / scale))) * scale)
+                               for v in block]
+            exps[b][j] = s
+    cols = list(zip(*exps))
+    spread = max(max(c) - min(c) for c in cols)
+    return values, exps, (spread, min(map(min, cols)), max(map(max, cols)))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestActivationQuantization:
     def test_zero_block(self):
-        p = quantize_activations(np.zeros((BLOCK_SIZE, 2)))
-        assert np.all(p.values == 0) and np.all(p.scales == 1.0)
+        a = np.zeros((2 * BLOCK_SIZE, 2))
+        a[BLOCK_SIZE:, 1] = -0.0
+        p = quantize_activations(a)
+        # Zeros come out +0.0; a zero block counts as exponent -7.
+        assert_same_bits(dequantize_activations(p), np.zeros(a.shape))
+        assert (p.spread, p.lo, p.hi) == (0, -7, -7)
+        assert p.operand.dtype == np.float32
 
     def test_max_127_block(self):
         a = np.zeros((BLOCK_SIZE, 1))
         a[0, 0], a[1, 0] = 127.0, -42.4
         p = quantize_activations(a)
-        assert p.scales[0, 0] == 1.0
-        assert p.values[0, 0] == 127 and p.values[1, 0] == -42
+        # floor(log2 127) - 6 = 0: scale 1.0.
+        assert (p.lo, p.hi, p.spread) == (0, 0, 0)
+        assert p.operand[0, 0] == 127 and p.operand[0, 1] == -42
 
     def test_half_integer_ties_to_even(self):
         a = np.zeros((BLOCK_SIZE, 1))
-        a[0, 0], a[1, 0] = -127.0, 63.5
+        a[:5, 0] = -127.0, 63.5, 62.5, -0.5, 0.5
         p = quantize_activations(a)
-        assert p.values[1, 0] == 64
+        assert_same_bits(p.operand[0, :5], np.float32([-127, 64, 62, 0, 0]))
+
+    def test_clamp_at_127(self):
+        # Over a scale of 2^e, 127.5 and -127.75 round to +-128 and clamp.
+        a = np.zeros((BLOCK_SIZE, 2))
+        a[:2, 0] = 127.5 * 2.0 ** -9, 3 * 2.0 ** -9
+        a[:2, 1] = -127.75 * 2.0 ** 20, 127.25 * 2.0 ** 20
+        p = quantize_activations(a)
+        assert_same_bits(p.operand[:, :2], np.float32([[127 * 2.0 ** -9, 3 * 2.0 ** -9],
+                                                       [-127 * 2.0 ** 20, 127 * 2.0 ** 20]]))
+        assert (p.lo, p.hi) == (-9, 20)
 
     def test_range_bound(self):
         rng = np.random.default_rng(4)
         p = quantize_activations(rng.standard_normal((64, 4)) * 100)
-        assert np.max(np.abs(p.values.astype(int))) <= 127
+        blocks = p.operand.astype(np.float64).reshape(4, 2, BLOCK_SIZE)
+        # A block's scale is 2^(floor(log2 max|value|) - 6): it puts the
+        # block's largest |q| in [64, 127], every q an integer.
+        top = np.abs(blocks).max(axis=2, keepdims=True)
+        q = blocks / np.exp2(np.floor(np.log2(top)) - 6)
+        assert np.all(q == np.rint(q)) and np.max(np.abs(q)) <= 127
+        assert np.all(np.abs(q).max(axis=2) >= 64)
 
     def test_per_column_scales(self):
-        a = np.ones((BLOCK_SIZE, 2))
+        a = np.ones((2 * BLOCK_SIZE, 2))
         a[:, 1] *= 254.0
         p = quantize_activations(a)
-        assert p.scales[0, 0] != p.scales[0, 1]
+        # 1 = 64 * 2^-6 and 254 = 127 * 2^1: exact, at scales 2^-6 and 2^1.
+        assert_same_bits(dequantize_activations(p), a)
+        # Each column's blocks share an exponent: the spread is per column.
+        assert (p.spread, p.lo, p.hi) == (0, -6, 1)
 
     @pytest.mark.parametrize("k", [32, 64, 512])
     @pytest.mark.parametrize("n", [1, 5, 17])
@@ -266,11 +313,48 @@ class TestActivationQuantization:
         tie = rng.integers(-254, 255, BLOCK_SIZE) / 2.0
         tie[0] = 127.0
         a[-BLOCK_SIZE:, -1] = tie * 2.0 ** e
+        # A block whose maximum clamps, -127.5 * 2^(e - 3), where one is
+        # neither the zero block nor the ties' block.
+        clamp = ((BLOCK_SIZE, 0) if k > 2 * BLOCK_SIZE else (0, 1) if n > 2
+                 else None)
+        if clamp:
+            row, col = clamp
+            a[row:row + BLOCK_SIZE, col] = tie * 2.0 ** (e - 3)
+            a[row, col] = -127.5 * 2.0 ** (e - 3)
         got = quantize_activations(a)
-        values, scales = quantize_activations_oracle(a)
-        assert got.values.tobytes() == values.tobytes()
-        assert got.scales.tobytes() == scales.tobytes()
-        assert got.scales[-1, -1] == 2.0 ** e
+        values, exps, facts = quantize_activations_oracle(a)
+        assert got.operand.dtype == np.float32
+        assert_same_bits(dequantize_activations(got), values)
+        assert (got.spread, got.lo, got.hi) == facts
+        assert exps[-1][-1] == e
+        assert_same_bits(values[-BLOCK_SIZE:, -1], np.rint(tie) * 2.0 ** e + 0.0)
+        if clamp:
+            assert values[clamp] == -127 * 2.0 ** (e - 3)
+
+    @pytest.mark.parametrize("e", [-1074, -1070, -1030, -140, -121, 128, 1000, 1023])
+    def test_outside_float32_matches_oracle(self, e):
+        # Every block's maximum is 1.5 * 2^e, or 2^e among float64
+        # subnormals, so the scale exponents are e - 6: past float32's
+        # normal range ([-126, 121]) the operand stays float64, exactly,
+        # and below 2^-1074 the values stay as they are.
+        rng = np.random.default_rng(e + 2000)
+        shape = (2 * BLOCK_SIZE, 3)
+        if e < -1022:
+            top = 2.0 ** e
+            a = rng.integers(-2 ** (e + 1074), 2 ** (e + 1074) + 1, shape) * 2.0 ** -1074
+        else:
+            top = 1.5 * 2.0 ** e
+            a = rng.uniform(-1.5, 1.5, shape) * 2.0 ** e
+        a[::BLOCK_SIZE] = top
+        a[:BLOCK_SIZE, 1] = rng.standard_normal(BLOCK_SIZE)  # an ordinary block
+        got = quantize_activations(a)
+        values, exps, facts = quantize_activations_oracle(a)
+        assert exps[1][0] == e - 6
+        assert got.operand.dtype == np.float64
+        assert_same_bits(dequantize_activations(got), values)
+        assert (got.spread, got.lo, got.hi) == facts
+        if e < -1068:
+            assert_same_bits(values[BLOCK_SIZE:], a[BLOCK_SIZE:])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("pos", [(0, 0), (31, 2), (40, 0), (63, 2)])
@@ -337,7 +421,7 @@ class TestLateScaling:
 class TestInt8Path:
     @staticmethod
     def _pow2_activations(rng, k, n):
-        """Activations whose per-block scale is exactly a power of two."""
+        """Activations whose per-block maximum is exactly 127 * 2^exp."""
         exps = rng.integers(-2, 3, size=(k // BLOCK_SIZE, n))
         ints = rng.integers(-127, 128, size=(k, n)).astype(np.float64)
         blocks = ints.reshape(-1, BLOCK_SIZE, n)
@@ -352,7 +436,9 @@ class TestInt8Path:
             w = quantize_direct_cast(rng.standard_normal((m, k)))
             a = self._pow2_activations(rng, k, n)
             panel = quantize_activations(a)
-            assert np.all(np.exp2(np.log2(panel.scales)) == panel.scales)
+            # The activations are their own quantization, at scales 2^exp.
+            assert_same_bits(dequantize_activations(panel), a)
+            assert -2 <= panel.lo <= panel.hi <= 2
             got = gemm_mxfp4_int8(w, panel)
             ref = gemm_reference(dequantize(w), dequantize_activations(panel))
             assert np.array_equal(got, ref)
@@ -365,17 +451,19 @@ class TestInt8Path:
     def test_zero_activations(self):
         w = quantize_direct_cast(np.ones((4, BLOCK_SIZE)))
         panel = quantize_activations(np.zeros((BLOCK_SIZE, 2)))
-        assert np.all(gemm_mxfp4_int8(w, panel) == 0.0)
+        assert_same_bits(gemm_mxfp4_int8(w, panel), np.zeros((4, 2)))
 
     def test_integer_partial_bound(self):
-        # Worst case: all-max codes against all-max activations.
-        w = make_block_tensor([0b0111] * BLOCK_SIZE, 127)
+        # Worst term: the largest doubled E2M1 value times the largest
+        # |q|, which TERM_BITS bits hold with none to spare.
         lut = mxfp4.fp4_to_int8_lut().astype(np.int64)
-        worst = int(np.sum(lut[w.codes[0]] * 127))
-        assert worst == INT_PARTIAL_BOUND
-        # float32 holds every integer up to 2^24 exactly, so the kernel's
-        # BLAS partials are exact in any summation order.
-        assert INT_PARTIAL_BOUND < 2**24
+        worst = int(np.max(np.abs(lut))) * 127
+        assert worst == 1524 and worst.bit_length() == TERM_BITS
+        # All-max codes against all-max activations: 32 * 12 * 127 = 48,768
+        # in doubled units, 24,384 in values, exactly.
+        w = make_block_tensor([0b0111] * BLOCK_SIZE, 127)
+        panel = quantize_activations(np.full((BLOCK_SIZE, 1), 127.0))
+        assert gemm_mxfp4_int8(w, panel)[0, 0] == 32 * 6 * 127
 
     def test_shape_mismatch(self):
         w = quantize_direct_cast(np.ones((2, BLOCK_SIZE)))
@@ -386,38 +474,150 @@ class TestInt8Path:
     @pytest.mark.parametrize("n", [1, 2, 9, 17, 40])
     @pytest.mark.parametrize("k_blocks", [1, 3])
     def test_matches_einsum_oracle(self, n, k_blocks):
-        # 17 and 40 columns cross the kernel's column chunks; one K block
-        # leaves the block reduction a single term.
-        assert qgemm.COL_CHUNK < 17
+        # Batches of up to 40 columns; one K block leaves each dot product
+        # a single block's terms.
         rng = np.random.default_rng(100 + n)
         w = quantize_direct_cast(rng.standard_normal((37, k_blocks * BLOCK_SIZE)))
         a = rng.standard_normal((k_blocks * BLOCK_SIZE, n))
-        panel = quantize_activations(a * rng.uniform(1e-3, 1e3, size=(1, n)))
-        got = gemm_mxfp4_int8(w, panel)
-        assert got.tobytes() == einsum_int8_oracle(w, panel).tobytes()
+        a *= rng.uniform(1e-3, 1e3, size=(1, n))
+        got = gemm_mxfp4_int8(w, quantize_activations(a))
+        assert got.tobytes() == einsum_int8_oracle(w, a).tobytes()
 
     def test_operand_built_on_first_use(self):
-        w = quantize_direct_cast(np.ones((4, BLOCK_SIZE)))
-        assert "int_operand" not in vars(w)
-        gemm_mxfp4_int8(w, quantize_activations(np.ones((BLOCK_SIZE, 1))))
-        values, scales = vars(w)["int_operand"]
-        # (block, 32, row) values and (block, row) scales, both contiguous.
-        assert values.dtype == np.float32 and values.shape == (1, BLOCK_SIZE, 4)
-        assert values.flags.c_contiguous and scales.flags.c_contiguous
-        assert scales.shape == (1, 4)
+        w = np.ones((4, 2 * BLOCK_SIZE))
+        w[0, BLOCK_SIZE:] = 256.0
+        w = quantize_direct_cast(w)
+        assert "folded_operand" not in vars(w)
+        gemm_mxfp4_int8(w, quantize_activations(np.ones((2 * BLOCK_SIZE, 1))))
+        values, spread, lo, hi = vars(w)["folded_operand"]
+        # One (K, rows) float32 matrix, the transposed dequantized weight.
+        assert values.dtype == np.float32 and values.shape == (2 * BLOCK_SIZE, 4)
+        assert values.flags.c_contiguous
+        assert np.array_equal(values.T, dequantize(w))
+        # Block maxima 1 and 256: E8M0 exponents -2 and 6, so doubled
+        # values' exponents -3 and 5, both in the first row.
+        assert (spread, lo, hi) == (8, -3, 5)
 
 
 def einsum_int8_oracle(w: MxfpTensor, a) -> np.ndarray:
-    """The int8 kernel as a per-column integer einsum, one column at a time."""
-    w_int = mxfp4.fp4_to_int8_lut().astype(np.int32)[w.codes]
+    """The MXFP4 GEMM one column at a time: integer block partials of
+    doubled E2M1 values and the quantized q (``quantize_activations_oracle``),
+    each times its power of two, summed exactly and rounded once."""
+    w_int = mxfp4.fp4_to_int8_lut().astype(np.int64)[w.codes]
     wb = w_int.reshape(w.rows, -1, BLOCK_SIZE)
-    act = a.values.astype(np.int32).reshape(-1, BLOCK_SIZE, a.n)
-    sc = np.exp2(w.scale_exp.astype(np.float64) - 127.0)
-    cols = []
-    for j in range(a.n):
-        partial = np.einsum("mbk,bk->mb", wb, act[:, :, j], optimize=False)
-        cols.append(fold_sum(partial * (sc * (a.scales[None, :, j] * 0.5)), axis=1))
-    return np.stack(cols, axis=1)
+    w_exps = w.scale_exp.astype(np.int64) - 128  # doubled values: exponent - 1
+    values, exps, _ = quantize_activations_oracle(a)
+    out = np.zeros((w.rows, a.shape[1]))
+    for j in range(a.shape[1]):
+        for i in range(w.rows):
+            terms = []
+            for b, col_exps in enumerate(exps):
+                q = (values[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE, j]
+                     / 2.0 ** col_exps[j]).astype(np.int64)
+                partial = int(np.dot(wb[i, b], q))
+                terms.append(math.ldexp(partial, int(w_exps[i, b]) + col_exps[j]))
+            out[i, j] = math.fsum(terms) + 0.0
+    return out
+
+
+class TestWindow:
+    """Columns outside the exact-float32 window fall back to the reference
+    product of the dequantized operands, with the bits a column gets
+    alone, inside a batch of in-window columns, and from the oracle."""
+
+    K = 1024
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        """The number of columns of each fallback: only it dequantizes."""
+        calls = []
+        monkeypatch.setattr(qgemm, "dequantize",
+                            lambda w: calls.append(w.rows) or dequantize(w))
+        return calls
+
+    @staticmethod
+    def blocks_at_most(x, top):
+        """x with every 32-block's largest |value| set to ``top``."""
+        x[::BLOCK_SIZE] = top
+        return x
+
+    @classmethod
+    def weight(cls, rng, wide_row=False):
+        # Every block's maximum is 1.5, so the weight's spread is 0.
+        w = cls.blocks_at_most(rng.uniform(-1.5, 1.5, (48, cls.K)).T, 1.5).T
+        if wide_row:  # block maxima from 2^-12 to 2^8 along one row
+            w[5] *= np.repeat(np.exp2(np.arange(cls.K // BLOCK_SIZE) % 21 - 12), BLOCK_SIZE)
+        return quantize_direct_cast(w)
+
+    @classmethod
+    def columns(cls, rng):
+        """Four in-window columns of spread 0, then the out-of-window ones
+        by kind, then an all-zero column."""
+        a = cls.blocks_at_most(rng.uniform(-1.5, 1.5, (cls.K, 8)), 1.5)
+        # Block maxima 2^4 apart: an activation spread of 4 > 24 - 11 - 10.
+        a[:, 4] *= np.tile([1.0, 2.0 ** -4], cls.K // 2)[np.arange(cls.K) // BLOCK_SIZE]
+        a[:, 5] *= 2.0 ** 118  # float32 operands, products past 2^128
+        a[:, 6] *= 2.0 ** -130  # float32 subnormals: a float64 operand
+        a[:, 7] = 0.0
+        a[:BLOCK_SIZE, 7] = -0.0
+        return a
+
+    def check(self, w, a, monkeypatch):
+        """The column counts of the fallbacks of the batch, then of each
+        column alone."""
+        ref = gemm_reference(dequantize(w), dequantize_activations(quantize_activations(a)))
+        calls = self.count_fallbacks(monkeypatch)
+        batch = gemm_mxfp4_int8(w, quantize_activations(a))
+        assert_same_bits(batch, ref)
+        assert not np.any(np.signbit(batch) & (batch == 0.0))
+        for j in range(a.shape[1]):
+            alone = gemm_mxfp4_int8(w, quantize_activations(a[:, j:j + 1]))
+            assert_same_bits(alone, batch[:, j:j + 1])
+        return calls
+
+    def test_in_window_batch_is_one_sgemm(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        a = self.columns(rng)
+        assert self.check(self.weight(rng), a[:, [0, 1, 2, 3, 7]], monkeypatch) == []
+
+    @pytest.mark.parametrize("col", [4, 5, 6])
+    def test_out_of_window_column(self, col, monkeypatch):
+        rng = np.random.default_rng(31 + col)
+        a = self.columns(rng)
+        # The batch falls back, and so does the column alone: no other.
+        w = self.weight(rng)
+        assert self.check(w, a[:, [0, col, 1, 7]], monkeypatch) == [w.rows] * 2
+
+    def test_wide_weight_row(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        w = self.weight(rng, wide_row=True)
+        assert w.folded_operand[1] == 20
+        # Every column meets the wide row, so every call falls back, zero
+        # column included.
+        assert self.check(w, self.columns(rng)[:, [0, 1, 7]], monkeypatch) == [w.rows] * 4
+
+    @pytest.mark.parametrize("w_exp, a_exp", [(-100, -50), (-125, 0), (128, 0)])
+    def test_products_or_weights_outside_float32(self, w_exp, a_exp, monkeypatch):
+        # Normal float32 operands whose products fall below 2^-126, and
+        # weights below or above float32's normal range, which get no W'.
+        rng = np.random.default_rng(37)
+        w = quantize_direct_cast(np.asarray(self.weight(rng).folded_operand[0].T,
+                                            dtype=np.float64) * 2.0 ** w_exp)
+        assert (w.folded_operand[0] is None) == (w_exp != -100)
+        a = self.columns(rng)[:, [0, 1, 7]] * 2.0 ** a_exp
+        # Against W' the zero column alone is in the window: its exponent
+        # counts as -7.
+        calls = [w.rows] * (3 if w_exp == -100 else 4)
+        assert self.check(w, a, monkeypatch) == calls
+
+    def test_in_window_sum_is_exact(self):
+        # Inside the window the float32 sum is the exact one, whatever
+        # order BLAS adds in, so it equals the rational oracle's.
+        rng = np.random.default_rng(36)
+        w = self.weight(rng)
+        a = self.columns(rng)[:, :2]
+        assert_same_bits(gemm_mxfp4_int8(w, quantize_activations(a)),
+                         einsum_int8_oracle(w, a))
 
 
 class TestBench:
@@ -425,6 +625,9 @@ class TestBench:
         shape = GemmShape(8192, 1, 8192)
         want = int(8192 * 8192 * 4.25 / 8) + 8192 * 4 * 2
         assert gemm_bytes(shape, "latescale_f32") == want
+        # The int8 path reads one float32 activation operand, scales folded.
+        assert gemm_bytes(shape, "int8") == want
+        assert gemm_bytes(shape, "reference") == 8192 * 8192 * 4 + 8192 * 4 * 2
 
     def test_weight_compression_ratios(self):
         shape = GemmShape(256, 1, 256)
@@ -444,6 +647,16 @@ class TestBench:
         # The weight is split once, in warm-up; each call splits activations.
         assert splits.count(qgemm.W_SLICES) == 1
         assert splits.count(qgemm.A_SLICES) == 9 + 2
+
+    def test_int8_bench_times_quantize_and_gemm(self, monkeypatch):
+        calls = []
+        for name in ("quantize_activations", "gemm_mxfp4_int8"):
+            real = getattr(qgemm, name)
+            monkeypatch.setattr(qgemm, name, lambda *a, _real=real, _name=name:
+                                calls.append(_name) or _real(*a))
+        gemm_bench(GemmShape(64, 2, 64), "int8")
+        # Each warm-up and timed call quantizes, as a model's linear does.
+        assert calls == ["quantize_activations", "gemm_mxfp4_int8"] * (2 + 9)
 
     def test_bench_smoke(self):
         res = gemm_bench(GemmShape(64, 2, 64), "int8")

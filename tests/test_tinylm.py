@@ -166,12 +166,15 @@ class TestForward:
         assert len(calls) == want
 
 
-# Prints one digest over a reference GEMM, an int8 GEMM and the logits of
+# Prints one digest over a reference GEMM, two int8 GEMMs and the logits of
 # d64 forwards of a float model and its MXFP4 cast: 40 tokens, then a
 # 320-token prefill at max_seq_len=512, once in the default attention
 # blocks and once in a single block, whose matmuls are large enough for
-# OpenBLAS to split across threads. So are the int8 GEMM's (16, 32) by
-# (32, 4096) float32 block matmuls, which a 1,024-row weight's are not.
+# OpenBLAS to split across threads. So is the int8 GEMM's (16, 64) by
+# (64, 4096) sgemm. The second int8 GEMM, at K = 1024, batches columns
+# inside its exact float32 window with one of each kind outside it: an
+# activation spread past the budget, products past float32's range,
+# activations below float32's normal range and an all-zero column.
 _BLAS_PROBE = """
 import hashlib
 import numpy as np
@@ -183,6 +186,14 @@ h = hashlib.sha256(qgemm.gemm_reference(rng.standard_normal((300, 200)),
 h.update(qgemm.gemm_mxfp4_int8(
     quantize_direct_cast(rng.standard_normal((4096, 64))),
     qgemm.quantize_activations(rng.standard_normal((64, 16)))).tobytes())
+w = quantize_direct_cast(rng.uniform(-1, 1, (2048, 1024)))
+a = rng.uniform(-1, 1, (1024, 12))
+a[:, 8] *= np.repeat(np.tile([1.0, 2.0 ** -5], 16), 32)
+a[:, 9] *= 2.0 ** 120
+a[:, 10] *= 2.0 ** -140
+a[:, 11] = 0.0
+for cols in ([0, 1, 2, 3, 4, 5, 6, 7, 11], slice(None)):
+    h.update(qgemm.gemm_mxfp4_int8(w, qgemm.quantize_activations(a[:, cols])).tobytes())
 for max_seq_len, n, block in ((256, 40, None), (512, 320, None), (512, 320, 1 << 22)):
     tinylm.ATTN_BLOCK = block or tinylm.ATTN_BLOCK
     cfg = tinylm.LmConfig(d_model=64, n_layers=2, n_heads=4, d_ff=128,
