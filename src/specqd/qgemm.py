@@ -91,6 +91,10 @@ A_SLICES = 3
 # (slices, columns, rows) temporaries for long prefills.
 SLICE_COL_CHUNK = 64
 
+# Weight rows per slice product in the MXFP4 GEMM's fallback; bounds its
+# float64 weight copy and slices to a few MB whatever the weight's size.
+FALLBACK_ROWS = 64
+
 GEMM_PATHS = ("reference", "latescale_f32", "int8")
 
 
@@ -448,10 +452,24 @@ def gemm_mxfp4_int8(w: MxfpTensor, a: QuantizedActivationPanel) -> np.ndarray:
             and w_lo + a.lo >= -126 and w_hi + a.hi + bits <= 128):
         out = np.matmul(a.operand, w_op)
     else:
-        out = _slice_gemm(FloatWeight(dequantize(w)),
-                          dequantize_activations(a)[:w.cols]).T
+        out = _fallback(w, a)
     # x + 0.0 is x, but +0.0 for -0.0.
     return np.add(out, 0.0, out=np.empty(out.shape)).T
+
+
+def _fallback(w: MxfpTensor, a: QuantizedActivationPanel) -> np.ndarray:
+    """(N, M): the reference product of the dequantized operands,
+    ``FALLBACK_ROWS`` weight rows at a time, each row's bits its own. The
+    rows come from W' when there is one, which holds them exactly."""
+    w_op = w.folded_operand[0]
+    act = dequantize_activations(a)[:w.cols]
+    out = np.empty((a.n, w.rows))
+    for r in range(0, w.rows, FALLBACK_ROWS):
+        rows = slice(r, r + FALLBACK_ROWS)
+        part = (w_op[:w.cols, rows].T if w_op is not None else dequantize(MxfpTensor(
+            len(w.codes[rows]), w.cols, w.codes[rows], w.scale_exp[rows])))
+        out[:, rows] = _slice_gemm(FloatWeight(part), act).T
+    return out
 
 
 def gemm_bytes(shape: GemmShape, path: str) -> int:

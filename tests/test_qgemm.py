@@ -529,10 +529,11 @@ class TestWindow:
 
     @staticmethod
     def count_fallbacks(monkeypatch):
-        """The number of columns of each fallback: only it dequantizes."""
+        """The number of columns of each fallback."""
         calls = []
-        monkeypatch.setattr(qgemm, "dequantize",
-                            lambda w: calls.append(w.rows) or dequantize(w))
+        fallback = qgemm._fallback
+        monkeypatch.setattr(qgemm, "_fallback",
+                            lambda w, a: calls.append(a.n) or fallback(w, a))
         return calls
 
     @staticmethod
@@ -543,8 +544,10 @@ class TestWindow:
 
     @classmethod
     def weight(cls, rng, wide_row=False):
-        # Every block's maximum is 1.5, so the weight's spread is 0.
-        w = cls.blocks_at_most(rng.uniform(-1.5, 1.5, (48, cls.K)).T, 1.5).T
+        # Every block's maximum is 1.5, so the weight's spread is 0; the
+        # fallback takes its rows in two parts.
+        rows = qgemm.FALLBACK_ROWS + 16
+        w = cls.blocks_at_most(rng.uniform(-1.5, 1.5, (rows, cls.K)).T, 1.5).T
         if wide_row:  # block maxima from 2^-12 to 2^8 along one row
             w[5] *= np.repeat(np.exp2(np.arange(cls.K // BLOCK_SIZE) % 21 - 12), BLOCK_SIZE)
         return quantize_direct_cast(w)
@@ -585,8 +588,7 @@ class TestWindow:
         rng = np.random.default_rng(31 + col)
         a = self.columns(rng)
         # The batch falls back, and so does the column alone: no other.
-        w = self.weight(rng)
-        assert self.check(w, a[:, [0, col, 1, 7]], monkeypatch) == [w.rows] * 2
+        assert self.check(self.weight(rng), a[:, [0, col, 1, 7]], monkeypatch) == [4, 1]
 
     def test_wide_weight_row(self, monkeypatch):
         rng = np.random.default_rng(35)
@@ -594,7 +596,7 @@ class TestWindow:
         assert w.folded_operand[1] == 20
         # Every column meets the wide row, so every call falls back, zero
         # column included.
-        assert self.check(w, self.columns(rng)[:, [0, 1, 7]], monkeypatch) == [w.rows] * 4
+        assert self.check(w, self.columns(rng)[:, [0, 1, 7]], monkeypatch) == [3, 1, 1, 1]
 
     @pytest.mark.parametrize("w_exp, a_exp", [(-100, -50), (-125, 0), (128, 0)])
     def test_products_or_weights_outside_float32(self, w_exp, a_exp, monkeypatch):
@@ -607,7 +609,7 @@ class TestWindow:
         a = self.columns(rng)[:, [0, 1, 7]] * 2.0 ** a_exp
         # Against W' the zero column alone is in the window: its exponent
         # counts as -7.
-        calls = [w.rows] * (3 if w_exp == -100 else 4)
+        calls = [3, 1, 1] if w_exp == -100 else [3, 1, 1, 1]
         assert self.check(w, a, monkeypatch) == calls
 
     def test_in_window_sum_is_exact(self):
