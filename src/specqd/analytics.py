@@ -112,7 +112,8 @@ def roofline(point: RooflinePoint) -> float:
 
 
 def gemm_traffic_bytes(m: int, n: int, k: int, fmt: str) -> float:
-    """Compulsory bytes for one M x N x K GEMM with the given weight format."""
+    """Compulsory bytes for one M x N x K GEMM with the given weight format:
+    the weights once, and the activations and output once as float32."""
     if fmt == "mxfp4":
         weight = m * k * BITS_PER_ELEMENT / 8.0
     elif fmt == "f32":

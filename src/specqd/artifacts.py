@@ -13,8 +13,10 @@ Tensor section layout (little-endian throughout):
             column index), then rows * padded_cols / 32 scale bytes
 
 Model files are a b"SQDM" header, a length-prefixed UTF-8 key=value config
-block, then the model's named tensor sections, each once. Every failure mode
-raises a typed error and never yields a partial object.
+block (``LmConfig``'s fields), then the model's named tensor sections, each
+once, in the order of ``_model_tensor_items``. A linear's section is float or
+MXFP4, any other float, each of exactly the shape the config gives it. Every
+failure mode raises a typed error and never yields a partial object.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from __future__ import annotations
 import ast
 import io
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .mxfp4 import BLOCK_SIZE, MxfpTensor
-from .tinylm import LayerWeights, LinearWeight, LmConfig, TinyLmModel
+from .tinylm import (LAYER_NORMS, LayerWeights, LinearWeight, LmConfig, TinyLmModel,
+                     linear_shapes)
 
 TENSOR_MAGIC = b"SQDT"
 MODEL_MAGIC = b"SQDM"
@@ -157,33 +161,26 @@ def load_tensor_file(path):
         return load_tensor(fh)
 
 
-_CONFIG_KEYS = ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff",
-                "max_seq_len", "norm_epsilon")
-
-
-def _model_tensor_items(model: TinyLmModel):
-    yield "tok_emb", model.tok_emb
-    yield "pos_emb", model.pos_emb
-    for i, layer in enumerate(model.layers):
-        yield f"layer{i}.ln1_g", layer.ln1_g[None, :]
-        yield f"layer{i}.ln1_b", layer.ln1_b[None, :]
-        for name in ("wq", "wk", "wv", "wo", "w_up", "w_down"):
-            yield f"layer{i}.{name}", getattr(layer, name).weight
-        yield f"layer{i}.ln2_g", layer.ln2_g[None, :]
-        yield f"layer{i}.ln2_b", layer.ln2_b[None, :]
-    yield "final_ln_g", model.final_ln_g[None, :]
-    yield "final_ln_b", model.final_ln_b[None, :]
-    yield "w_out", model.w_out.weight
+def _model_tensor_items(model: TinyLmModel) -> list:
+    """Each section's name and tensor, in file order: a vector is stored as
+    one row, a linear as its weight."""
+    items = [("tok_emb", model.tok_emb), ("pos_emb", model.pos_emb)]
+    items += [(f"layer{i}.{f.name}", getattr(layer, f.name))
+              for i, layer in enumerate(model.layers) for f in fields(layer)]
+    items += [("final_ln_g", model.final_ln_g), ("final_ln_b", model.final_ln_b),
+              ("w_out", model.w_out)]
+    return [(name, t.weight if isinstance(t, LinearWeight) else np.atleast_2d(t))
+            for name, t in items]
 
 
 def save_model(path, model: TinyLmModel):
     buf = io.BytesIO()
-    cfg = model.config
-    config_blob = "\n".join(f"{k}={getattr(cfg, k)!r}" for k in _CONFIG_KEYS).encode()
+    config_blob = "\n".join(
+        f"{k}={v!r}" for k, v in asdict(model.config).items()).encode()
     buf.write(MODEL_MAGIC)
     buf.write(struct.pack("<HI", VERSION, len(config_blob)))
     buf.write(config_blob)
-    sections = list(_model_tensor_items(model))
+    sections = _model_tensor_items(model)
     buf.write(struct.pack("<I", len(sections)))
     for name, tensor in sections:
         nb = name.encode()
@@ -198,22 +195,24 @@ def _parse_config(blob: bytes) -> LmConfig:
     missing, a value does not parse or has the wrong type, or the fields do
     not make a valid LmConfig."""
     try:
-        fields = {}
+        values = {}
         for line in blob.decode().splitlines():
             key, _, value = line.partition("=")
-            if key in fields:
+            if key in values:
                 raise ValueError(f"{key} repeats")
-            fields[key] = ast.literal_eval(value)
-        legacy = fields.pop("gemm_path", "int8")  # older files name the kernel
-        if missing := [key for key in _CONFIG_KEYS if key not in fields]:
+            values[key] = ast.literal_eval(value)
+        legacy = values.pop("gemm_path", "int8")  # older files name the kernel
+        if missing := [f.name for f in fields(LmConfig) if f.name not in values]:
             raise ValueError(f"no {', '.join(missing)}")
-        config = LmConfig(**fields)
+        config = LmConfig(**values)
     except (SyntaxError, ValueError, TypeError) as exc:
         raise BadConfig(f"bad model config block: {exc}") from exc
-    for key in _CONFIG_KEYS:
-        value = getattr(config, key)
-        if type(value) not in ((int, float) if key == "norm_epsilon" else (int,)):
-            raise BadConfig(f"bad model config block: {key}={value!r} has the wrong type")
+    for f in fields(config):
+        # A field takes its default's type; an int serves a float field too.
+        value = getattr(config, f.name)
+        if type(value) not in (int, type(f.default)):
+            raise BadConfig(f"bad model config block: {f.name}={value!r} "
+                            "has the wrong type")
     if legacy != "int8":
         raise BadConfig(f"bad model config block: unknown gemm_path {legacy!r}")
     return config
@@ -238,46 +237,33 @@ def load_model(path) -> TinyLmModel:
                 raise ShapeMismatch(f"model file repeats tensor {name!r}")
             tensors[name] = load_tensor(fh)
 
-    def take(name, vector=False):
+    def take(name, shape, linear=False):
+        """Section ``name``: a float tensor of ``shape`` or, for a linear
+        only, an MXFP4 one."""
         if name not in tensors:
             raise MissingSection(f"model file missing tensor {name!r}")
         t = tensors.pop(name)
-        return np.asarray(t)[0] if vector else t
-
-    def linear(name, out_f, in_f):
-        t = take(name)
-        shape = (t.rows, t.cols) if isinstance(t, MxfpTensor) else t.shape
-        if shape != (out_f, in_f):
-            raise ShapeMismatch(f"{name}: expected {(out_f, in_f)}, got {shape}")
-        return LinearWeight(t)
+        mxfp4 = isinstance(t, MxfpTensor)
+        got = (t.rows, t.cols) if mxfp4 else t.shape
+        if got != shape or mxfp4 and not linear:
+            raise ShapeMismatch(f"{name}: expected {'' if linear else 'float '}"
+                                f"{shape}, got {'MXFP4 ' if mxfp4 else ''}{got}")
+        return LinearWeight(t) if linear else t
 
     d = config.d_model
-    tok = take("tok_emb")
-    pos = take("pos_emb")
-    if tok.shape != (config.vocab_size, d) or pos.shape != (config.max_seq_len, d):
-        raise ShapeMismatch("embedding shapes do not match config")
-    layers = []
-    for i in range(config.n_layers):
-        layers.append(LayerWeights(
-            ln1_g=take(f"layer{i}.ln1_g", vector=True),
-            ln1_b=take(f"layer{i}.ln1_b", vector=True),
-            wq=linear(f"layer{i}.wq", d, d),
-            wk=linear(f"layer{i}.wk", d, d),
-            wv=linear(f"layer{i}.wv", d, d),
-            wo=linear(f"layer{i}.wo", d, d),
-            ln2_g=take(f"layer{i}.ln2_g", vector=True),
-            ln2_b=take(f"layer{i}.ln2_b", vector=True),
-            w_up=linear(f"layer{i}.w_up", config.d_ff, d),
-            w_down=linear(f"layer{i}.w_down", d, config.d_ff),
-        ))
+    layers = [LayerWeights(
+        **{name: take(f"layer{i}.{name}", (1, d))[0] for name in LAYER_NORMS},
+        **{name: take(f"layer{i}.{name}", shape, linear=True)
+           for name, shape in linear_shapes(config).items()})
+        for i in range(config.n_layers)]
     model = TinyLmModel(
         config=config,
-        tok_emb=tok,
-        pos_emb=pos,
+        tok_emb=take("tok_emb", (config.vocab_size, d)),
+        pos_emb=take("pos_emb", (config.max_seq_len, d)),
         layers=layers,
-        final_ln_g=take("final_ln_g", vector=True),
-        final_ln_b=take("final_ln_b", vector=True),
-        w_out=linear("w_out", config.vocab_size, d),
+        final_ln_g=take("final_ln_g", (1, d))[0],
+        final_ln_b=take("final_ln_b", (1, d))[0],
+        w_out=take("w_out", (config.vocab_size, d), linear=True),
     )
     if tensors:
         raise ShapeMismatch(f"model file has tensors its config does not use: "

@@ -9,6 +9,7 @@ own: BLAS is the only source of parallelism (``OPENBLAS_NUM_THREADS``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -28,12 +29,13 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
+# LmConfig's int fields, each a model-init flag with the field's default.
+_INIT_FIELDS = [f for f in dataclasses.fields(tinylm.LmConfig)
+                if type(f.default) is int]
+
+
 def cmd_model_init(args) -> int:
-    config = tinylm.LmConfig(
-        vocab_size=args.vocab_size, d_model=args.d_model,
-        n_layers=args.n_layers, n_heads=args.n_heads, d_ff=args.d_ff,
-        max_seq_len=args.max_seq_len,
-    )
+    config = tinylm.LmConfig(**{f.name: getattr(args, f.name) for f in _INIT_FIELDS})
     model = tinylm.init_seeded(config, args.seed)
     artifacts.save_model(args.out, model)
     print(f"wrote {args.out} checksum={tinylm.model_checksum(model)}")
@@ -53,18 +55,14 @@ def cmd_quantize(args) -> int:
 
 def _load_tree(args) -> specdec.SpecTree:
     """The target, then each ``--draft`` with the ``--spec-len`` and
-    ``--threshold`` values at its position, or the defaults past them."""
-    paths = [args.target] + list(args.draft or [])
-    spec_lens = list(args.spec_len or [])
-    thresholds = list(args.threshold or [])
-    for flag, values in (("--spec-len", spec_lens), ("--threshold", thresholds)):
+    ``--threshold`` values at its position; a draft past them keeps
+    ``LevelSpec``'s defaults."""
+    paths = [args.target] + args.draft
+    given = {"spec_len": args.spec_len, "threshold": args.threshold}
+    for key, values in given.items():
         if len(values) >= len(paths):
-            raise CliError(f"{len(values)} {flag} values for {len(paths)} levels: "
-                           "one per --draft, none for the target")
-    # Level i takes value i - 1. The target drafts nothing and never stops
-    # on confidence, so its placeholders are never read.
-    spec_lens.insert(0, specdec.DEFAULT_SPEC_LEN)
-    thresholds.insert(0, specdec.DEFAULT_THRESHOLD)
+            raise CliError(f"{len(values)} --{key.replace('_', '-')} values for "
+                           f"{len(paths)} levels: one per --draft, none for the target")
     levels = []
     for i, path in enumerate(paths):
         model = artifacts.load_model(path)
@@ -72,12 +70,10 @@ def _load_tree(args) -> specdec.SpecTree:
             model.forward_penalty_s = (
                 model.linear_weight_bytes() / 1e6 * args.slowdown_per_mb
             )
-        levels.append(specdec.LevelSpec(
-            model=model,
-            spec_len=spec_lens[i] if i < len(spec_lens) else specdec.DEFAULT_SPEC_LEN,
-            threshold=(thresholds[i] if i < len(thresholds)
-                       else specdec.DEFAULT_THRESHOLD),
-        ))
+        # Level i takes value i - 1; the target drafts nothing.
+        levels.append(specdec.LevelSpec(model, **{
+            key: values[i - 1] for key, values in given.items()
+            if 0 < i <= len(values)}))
     return specdec.SpecTree(levels)
 
 
@@ -154,12 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model-init", help="create a seeded model file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vocab-size", type=int, default=256)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--n-layers", type=int, default=2)
-    p.add_argument("--n-heads", type=int, default=4)
-    p.add_argument("--d-ff", type=int, default=128)
-    p.add_argument("--max-seq-len", type=int, default=256)
+    for f in _INIT_FIELDS:
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("quantize", help="MXFP4 direct-cast of a model file")

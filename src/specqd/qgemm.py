@@ -65,8 +65,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import analytics
 from .mxfp4 import (
-    BITS_PER_ELEMENT,
     BLOCK_SIZE,
     NO_BLOCK,
     CodecError,
@@ -473,20 +473,16 @@ def _fallback(w: MxfpTensor, a: QuantizedActivationPanel) -> np.ndarray:
 
 
 def gemm_bytes(shape: GemmShape, path: str) -> int:
-    """Compulsory traffic per iteration: weights + activations + output once.
-
-    MXFP4 weights count 4.25 bits/element; the reference path counts 32-bit
-    float weights. Activations and output count as 32-bit floats: the
-    MXFP4 GEMM reads its activations as one float32 operand, with their
-    scales folded in.
+    """Compulsory traffic per iteration, ``analytics.gemm_traffic_bytes`` in
+    whole bytes: the reference path's weights as float32, the MXFP4 paths'
+    at 4.25 bits per element. Activations and output count as 32-bit
+    floats: the MXFP4 GEMM reads its activations as one float32 operand,
+    with their scales folded in.
     """
     if path not in GEMM_PATHS:
         raise ValueError(f"unknown gemm path {path!r}")
-    if path == "reference":
-        weight_bytes = shape.m * shape.k * 4
-    else:
-        weight_bytes = int(shape.m * shape.k * BITS_PER_ELEMENT / 8)
-    return weight_bytes + shape.k * shape.n * 4 + shape.m * shape.n * 4
+    fmt = "f32" if path == "reference" else "mxfp4"
+    return int(analytics.gemm_traffic_bytes(shape.m, shape.n, shape.k, fmt))
 
 
 @dataclass

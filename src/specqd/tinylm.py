@@ -12,6 +12,10 @@ and attention, see ``_attention``) or taken in a fixed order over that
 position's own data (layer norm). So processing a batch of new positions
 equals processing them one at a time, token for token and bit for bit,
 at any BLAS thread count.
+
+A layer's tensors are named once, in ``LAYER_NORMS`` and ``LAYER_LINEARS``
+with ``linear_shapes``; the init, the cast, the checksum and the model file
+all follow them.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ from .mxfp4 import MxfpTensor, quantize_direct_cast
 
 @dataclass(frozen=True)
 class LmConfig:
+    """A model's dimensions. These fields, with their types and defaults,
+    are the config's schema: the model file's config block and
+    ``model-init``'s flags derive from them."""
+
     vocab_size: int = 256
     d_model: int = 64
     n_layers: int = 2
@@ -128,18 +136,35 @@ class LinearWeight:
         return qgemm.gemm_mxfp4_int8(self.weight, a).T
 
 
+# A layer's norm gains and biases, vectors of d_model, and its linears, in
+# the order that ``init_seeded`` draws and ``model_checksum`` hashes them.
+LAYER_NORMS = ("ln1_g", "ln1_b", "ln2_g", "ln2_b")
+LAYER_LINEARS = ("wq", "wk", "wv", "wo", "w_up", "w_down")
+
+
+def linear_shapes(config: LmConfig) -> dict[str, tuple[int, int]]:
+    """(out_features, in_features) of each of a layer's linears, by name in
+    ``LAYER_LINEARS`` order."""
+    d, d_ff = config.d_model, config.d_ff
+    return {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+            "w_up": (d_ff, d), "w_down": (d, d_ff)}
+
+
 @dataclass
 class LayerWeights:
+    """A layer's norms and linears; the field order is the order of the
+    layer's sections in a model file."""
+
     ln1_g: np.ndarray
     ln1_b: np.ndarray
     wq: LinearWeight
     wk: LinearWeight
     wv: LinearWeight
     wo: LinearWeight
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
     w_up: LinearWeight
     w_down: LinearWeight
+    ln2_g: np.ndarray
+    ln2_b: np.ndarray
 
 
 @dataclass
@@ -164,11 +189,8 @@ class TinyLmModel:
         return "int8" if self.is_quantized else "reference"
 
     def all_linears(self) -> list[LinearWeight]:
-        out = []
-        for layer in self.layers:
-            out += [layer.wq, layer.wk, layer.wv, layer.wo, layer.w_up, layer.w_down]
-        out.append(self.w_out)
-        return out
+        return [getattr(ly, name) for ly in self.layers
+                for name in LAYER_LINEARS] + [self.w_out]
 
     def linear_weight_bytes(self) -> int:
         return sum(lw.storage_bytes() for lw in self.all_linears())
@@ -176,7 +198,7 @@ class TinyLmModel:
     def embeddings_and_norms(self) -> list[np.ndarray]:
         """Every weight outside the linears, in a fixed order."""
         return [self.tok_emb, self.pos_emb, self.final_ln_g, self.final_ln_b] + [
-            a for ly in self.layers for a in (ly.ln1_g, ly.ln1_b, ly.ln2_g, ly.ln2_b)]
+            getattr(ly, name) for ly in self.layers for name in LAYER_NORMS]
 
 
 @dataclass
@@ -219,7 +241,9 @@ def rollback(cache: KvCache, to_length: int) -> KvCache:
 
 
 def init_seeded(config: LmConfig, seed: int) -> TinyLmModel:
-    """All weights uniform in [-1/sqrt(d_model), 1/sqrt(d_model)] from one PRNG.
+    """All weights uniform in [-1/sqrt(d_model), 1/sqrt(d_model)] from one
+    PRNG, drawn in order: each layer's linears, then tok_emb, pos_emb and
+    w_out. Every norm's gain is one and its bias zero.
 
     The (config, seed) pair fully determines the model, bit for bit.
     """
@@ -231,20 +255,13 @@ def init_seeded(config: LmConfig, seed: int) -> TinyLmModel:
         np.float32
     ).astype(np.float64)
     d = config.d_model
-
-    def linear(out_f, in_f):
-        return LinearWeight(u(out_f, in_f))
-
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(
-            LayerWeights(
-                ln1_g=np.ones(d), ln1_b=np.zeros(d),
-                wq=linear(d, d), wk=linear(d, d), wv=linear(d, d), wo=linear(d, d),
-                ln2_g=np.ones(d), ln2_b=np.zeros(d),
-                w_up=linear(config.d_ff, d), w_down=linear(d, config.d_ff),
-            )
-        )
+    layers = [
+        LayerWeights(**{name: np.ones(d) if name.endswith("_g") else np.zeros(d)
+                        for name in LAYER_NORMS},
+                     **{name: LinearWeight(u(*shape))
+                        for name, shape in linear_shapes(config).items()})
+        for _ in range(config.n_layers)
+    ]
     return TinyLmModel(
         config=config,
         tok_emb=u(config.vocab_size, d),
@@ -252,7 +269,7 @@ def init_seeded(config: LmConfig, seed: int) -> TinyLmModel:
         layers=layers,
         final_ln_g=np.ones(d),
         final_ln_b=np.zeros(d),
-        w_out=linear(config.vocab_size, d),
+        w_out=LinearWeight(u(config.vocab_size, d)),
     )
 
 
@@ -262,15 +279,8 @@ def direct_cast_mxfp4(m: TinyLmModel) -> TinyLmModel:
     Embeddings, norms and architecture are untouched; casting an already
     quantized model is a no-op on the weights.
     """
-    layers = [
-        replace(
-            layer,
-            wq=layer.wq.quantized(), wk=layer.wk.quantized(),
-            wv=layer.wv.quantized(), wo=layer.wo.quantized(),
-            w_up=layer.w_up.quantized(), w_down=layer.w_down.quantized(),
-        )
-        for layer in m.layers
-    ]
+    layers = [replace(ly, **{name: getattr(ly, name).quantized()
+                             for name in LAYER_LINEARS}) for ly in m.layers]
     return replace(m, layers=layers, w_out=m.w_out.quantized())
 
 

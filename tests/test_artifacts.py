@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 
 import numpy as np
@@ -163,6 +164,18 @@ def _rewrite_config(path, model, edit):
                      + data[10 + cfg_len:])
 
 
+def _edit_section(path, name, edit):
+    """Replace section ``name`` of the model file at ``path`` by ``edit`` of
+    its tensor."""
+    data = path.read_bytes()
+    nb = name.encode()
+    at = data.index(struct.pack("<H", len(nb)) + nb) + 2 + len(nb)
+    old = io.BytesIO(data[at:])
+    new = io.BytesIO()
+    save_tensor(new, edit(load_tensor(old)))
+    path.write_bytes(data[:at] + new.getvalue() + data[at + old.tell():])
+
+
 class TestModelRoundtrip:
     def test_float_model_bit_exact(self, tmp_path):
         m = init_seeded(CFG, 5)
@@ -197,6 +210,45 @@ class TestModelRoundtrip:
         assert all(lw.weight.values is None for lw in m.all_linears())
         assert outputs("after") == before
         assert model_checksum(load_model(tmp_path / "after.bin")) == before[0]
+
+    def test_resave_same_bytes(self, tmp_path):
+        # Three layers, d_ff not 2 * d_model, and columns that need padding.
+        cfg = LmConfig(d_model=48, n_layers=3, n_heads=3, d_ff=80, max_seq_len=40)
+        m = init_seeded(cfg, 12)
+        for model in (m, direct_cast_mxfp4(m)):
+            a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+            save_model(a, model)
+            save_model(b, load_model(a))
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_section_order(self, tmp_path):
+        p = tmp_path / "m.bin"
+        save_model(p, init_seeded(LmConfig(d_model=32, n_layers=1, n_heads=2), 0))
+        data = p.read_bytes()
+        names = [name.decode() for name in re.findall(rb"([a-z_0-9.]+)SQDT", data)]
+        assert names == ["tok_emb", "pos_emb"] + [
+            f"layer0.{name}" for name in ("ln1_g", "ln1_b", "wq", "wk", "wv", "wo",
+                                          "w_up", "w_down", "ln2_g", "ln2_b")
+        ] + ["final_ln_g", "final_ln_b", "w_out"]
+
+    @pytest.mark.parametrize("name,edit", [
+        ("tok_emb", quantize_direct_cast),
+        ("pos_emb", quantize_direct_cast),
+        ("layer0.ln1_g", quantize_direct_cast),
+        ("final_ln_b", quantize_direct_cast),
+        ("layer1.ln2_b", lambda t: np.zeros((1, 1))),
+        ("layer0.ln1_g", lambda t: np.ones((3, CFG.d_model))),
+        ("final_ln_g", lambda t: np.ones((1, CFG.d_model // 2))),
+        ("layer0.w_up", lambda t: t[:CFG.d_model]),
+    ], ids=["mxfp4-tok_emb", "mxfp4-pos_emb", "mxfp4-norm", "mxfp4-final-norm",
+            "norm-1x1", "norm-3xd", "norm-half-d", "float-linear-shape"])
+    def test_section_kind_and_shape_checked(self, tmp_path, name, edit):
+        # Only a linear may be MXFP4, and every section has its config's shape.
+        p = tmp_path / "m.bin"
+        save_model(p, init_seeded(CFG, 13))
+        _edit_section(p, name, edit)
+        with pytest.raises(ShapeMismatch, match=re.escape(name)):
+            load_model(p)
 
     def test_config_preserved(self, tmp_path):
         m = init_seeded(CFG, 7)

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -7,6 +8,7 @@ from specqd import cli
 from specqd.cli import build_parser, main
 from specqd.tinylm import direct_cast_mxfp4, model_checksum
 from specqd import artifacts, specdec
+from specqd.mxfp4 import quantize_direct_cast
 
 
 @pytest.fixture()
@@ -239,6 +241,24 @@ class TestGenerate:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "error: token id 104 outside [0, 64)" in capsys.readouterr().err
+
+    def test_mxfp4_embedding_is_an_error(self, models, tmp_path, capsys):
+        # Only linears may be MXFP4: an MXFP4 tok_emb of the right shape is a
+        # bad file, not a traceback in the forward.
+        target, _, prompts = models
+        data = target.read_bytes()
+        at = data.index(b"tok_emb") + len(b"tok_emb")
+        old, new = io.BytesIO(data[at:]), io.BytesIO()
+        artifacts.save_tensor(new, quantize_direct_cast(artifacts.load_tensor(old)))
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data[:at] + new.getvalue() + data[at + old.tell():])
+        capsys.readouterr()
+        rc = main(["generate", "--target", str(bad), "--prompts", str(prompts),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: tok_emb: expected float")
+        assert "Traceback" not in err
 
     def test_no_tokens_no_speedup(self, models, tmp_path, capsys):
         target, draft, prompts = models

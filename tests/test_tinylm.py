@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,10 @@ from specqd import qgemm, tinylm
 from specqd.mxfp4 import CodecError, MxfpTensor
 from specqd.tinylm import (
     ContextOverflow,
+    LAYER_LINEARS,
+    LAYER_NORMS,
     KvCache,
+    LayerWeights,
     LinearWeight,
     LmConfig,
     TokenRangeError,
@@ -22,6 +25,7 @@ from specqd.tinylm import (
     forward,
     greedy_next,
     init_seeded,
+    linear_shapes,
     model_checksum,
     rollback,
     softmax_probs,
@@ -48,6 +52,24 @@ class TestConfig:
     def test_positive_dims(self):
         with pytest.raises(ValueError):
             LmConfig(n_layers=0)
+
+
+class TestSchema:
+    def test_names_every_layer_tensor_once(self):
+        # A layer tensor the schema misses would escape the cast, the
+        # checksum and the model file.
+        names = LAYER_NORMS + LAYER_LINEARS
+        assert len(set(names)) == len(names)
+        assert set(names) == {f.name for f in fields(LayerWeights)}
+
+    def test_linear_shapes(self):
+        cfg = LmConfig(d_model=48, n_heads=3, d_ff=80)
+        shapes = linear_shapes(cfg)
+        assert tuple(shapes) == LAYER_LINEARS
+        assert shapes["w_up"] == (80, 48) and shapes["w_down"] == (48, 80)
+        layer = init_seeded(replace(cfg, n_layers=1), 0).layers[0]
+        assert {name: getattr(layer, name).shape for name in LAYER_LINEARS} == shapes
+        assert all(getattr(layer, name).shape == (48,) for name in LAYER_NORMS)
 
 
 class TestInit:
