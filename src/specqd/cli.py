@@ -91,7 +91,7 @@ def cmd_generate(args) -> int:
 
     _write(out_dir / "summary.json", report.summary_json() + "\n")
     _write(out_dir / "rounds.csv", specdec.rounds_csv(
-        [r for res in report.results for r in res.stats.log]))
+        [res.stats.log for res in report.results]))
     _write(out_dir / "acceptance.csv", specdec.acceptance_csv(report.alpha_rows))
     speedup = report.geomean_speedup
     shown = "n/a" if speedup is None else f"{speedup:.3f}x"

@@ -18,19 +18,37 @@ d * 2^e with d a doubled E2M1 value (|d| <= 12) and e its block's scale
 exponent minus 1; each MxfpTensor keeps them as one (K, M) float32 matrix
 W' built on first use (``MxfpTensor.folded_operand``). An activation is
 q * 2^s with |q| <= 127, and ``quantize_activations`` returns them as an
-(N, K) float32 operand a'. So y = a' @ W' is a single sgemm, and every
-term of a dot product is an integer below 12 * 127 < 2^11 (TERM_BITS)
-times a power of two. The terms' exponents span at most spread_w +
-spread_a, the weight rows' and the activation columns' largest spreads of
-block exponents, so whenever
+(N, K) float32 operand a'. So y = a' @ W' is a single sgemm.
 
-    spread_w + spread_a + 11 + ceil(log2 K) <= 24
+It is exact when float32 holds every partial sum BLAS may form. Take
+weight row i, whose block exponents lie in [e_lo, e_lo + spread_w], and
+activation column j, whose smallest block exponent is s_lo. Every term
+w_t * a'_t is a multiple of 2^(e_lo + s_lo), and so is every sum of any
+subset of the terms, whose magnitude is at most
 
-every partial sum of any subset of the terms is a multiple of the smallest
-term exponent's power of two with at most 24 significant bits: float32
-holds it exactly, so BLAS gives the exact sum in any order, batch or
-thread count. The exponent ranges must also keep operands, terms and sums
-normal float32s. Both operands carry these facts as Python ints, the
+    sum_t |w_t| |a'_t| <= 12 * 2^(e_lo + spread_w) * L1,   L1 = sum_t |a'_t|.
+
+So whenever 12 * L1 <= 2^(24 + s_lo - spread_w), every partial sum is an
+integer of at most 24 bits times 2^(e_lo + s_lo), which float32 holds:
+BLAS gives the exact sum in any order, batch or thread count. The
+quantizer bounds L1 by the |values| it already takes. In a block of
+scale 2^s, whose largest |value| is at least 64 * 2^s, rounding grows a
+value only if it is at least 2^(s - 1), and by at most that; with r of
+the other 31 values grown, the block's sum of |values| is at least
+(64 + r / 2) * 2^s and grows by at most (r + 1) * 2^(s - 1), a factor
+below 1 + 16 / 79.5 < 1.21. So 15 * sum |a_t| bounds 12 * L1, with room
+for float64's rounding of the sum (a relative error below K * 2^-53).
+The panel's fact ``l1_bits`` is the smallest b with 15 * sum |a_t| <
+2^(b + s_lo) for every column, so the check is
+
+    spread_w + l1_bits <= 24.
+
+Bounding each term by 12 * 127 < 2^11 (TERM_BITS) times its power of two
+instead gives spread_w + spread_a + 11 + ceil(log2 K) <= 24, for spread_a
+a column's span of block exponents; since 15 * 127.5 < 2^11, the L1 bound
+admits every column that one does, and at K = 1024 columns of spread 4
+too. The exponent ranges must also keep operands, terms and sums normal
+float32s. Both operands carry these facts as Python ints, the
 activations' computed once per panel by the quantizer, so the check costs
 a few integer comparisons per call. It is conservative: a panel outside
 it falls back to the exact-slice reference product of the dequantized
@@ -58,7 +76,6 @@ in the calling thread; BLAS is the only source of parallelism.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -133,13 +150,16 @@ class QuantizedActivationPanel:
     operand: shape (N, K), row j the panel's column j, each value q * 2^s
     for an integer |q| <= 127 and its block's exponent s; float32 when
     every nonzero value is a normal float32, float64 otherwise, exact
-    either way. spread: the largest, over columns, of max - min of s over
-    a column's blocks; lo, hi: the smallest and largest s (NO_BLOCK and
-    -NO_BLOCK for an empty panel).
+    either way. l1_bits: the smallest b with 15 * sum |a| over each
+    column's values before quantization below 2^(b + s_lo), s_lo the
+    column's smallest s, so that 12 * sum |q * 2^s| is too (module
+    docstring); 7 if every value is 0, NO_BLOCK for a float64 operand.
+    lo, hi: the smallest and largest s. An empty panel has l1_bits and hi
+    -NO_BLOCK, lo NO_BLOCK.
     """
 
     operand: np.ndarray
-    spread: int
+    l1_bits: int
     lo: int
     hi: int
 
@@ -346,8 +366,9 @@ def quantize_activations(a: np.ndarray) -> QuantizedActivationPanel:
     that leaves a value as it is. ``CodecError`` for a non-finite value.
 
     The panel's operand holds q * 2^s row by row of columns. Its window
-    facts come from the block maxima alone, once per panel, so the linears
-    that share it share them too (see the module docstring).
+    facts come from the |values| and block maxima the quantizer takes
+    anyway, once per panel, so the linears that share it share them too
+    (see the module docstring).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] % BLOCK_SIZE:
@@ -356,18 +377,26 @@ def quantize_activations(a: np.ndarray) -> QuantizedActivationPanel:
     # Columns as rows, so that each block is a contiguous run of 32 values.
     flat = np.ascontiguousarray(a.T).reshape(-1)
     if not flat.size:
-        return QuantizedActivationPanel(np.zeros((n, k), np.float32), 0, NO_BLOCK, -NO_BLOCK)
-    absmax = np.maximum.reduceat(np.abs(flat), _starts(flat.size, BLOCK_SIZE))
+        return QuantizedActivationPanel(np.zeros((n, k), np.float32), -NO_BLOCK,
+                                        NO_BLOCK, -NO_BLOCK)
+    mags = np.abs(flat)
+    absmax = np.maximum.reduceat(mags, _starts(flat.size, BLOCK_SIZE))
     # max|block| = m * 2^e with m in [0.5, 1), or m = e = 0; s = e - 7.
     mant, exps = np.frexp(absmax)
     top = float(np.maximum.reduce(mant))
     if not top < 1.0:  # a NaN or an infinity
         raise CodecError("quantize_activations requires finite inputs")
-    cols = _starts(exps.size, k // BLOCK_SIZE)
-    lows = np.minimum.reduceat(exps, cols).tolist()
-    highs = np.maximum.reduceat(exps, cols).tolist()
-    spread = max(map(operator.sub, highs, lows))
-    lo, hi = min(lows) - 7, max(highs) - 7
+    lows = np.minimum.reduceat(exps, _starts(exps.size, k // BLOCK_SIZE))
+    # Python's min and max beat numpy's on the few blocks of a decode step.
+    lo, hi = min(lows.tolist()) - 7, max(exps.tolist()) - 7
+    l1_bits = NO_BLOCK
+    # Nonzero values q * 2^s lie in [2^s, 2^(s + 7)): normal float32s.
+    as_float32 = lo >= -126 and hi <= 121
+    if as_float32:
+        # 15 * sum |a| * 2^-(s_lo + 7) < 2^(l1_bits - 7) for every column,
+        # s_lo + 7 its smallest block's frexp exponent.
+        sums = np.add.reduceat(mags, _starts(flat.size, k))
+        l1_bits = math.frexp(15.0 * max(np.ldexp(sums, -lows).tolist()))[1] + 7
     if lo < -1074:  # these blocks' values are multiples of 2^s already
         np.maximum(exps, 7 - 1074, out=exps)
     if hi <= 971:
@@ -385,10 +414,9 @@ def quantize_activations(a: np.ndarray) -> QuantizedActivationPanel:
         bound = np.repeat(np.ldexp(127 / 128, exps), BLOCK_SIZE)
         np.minimum(values, bound, out=values)
         np.maximum(values, np.negative(bound, out=bound), out=values)
-    # Nonzero values q * 2^s lie in [2^s, 2^(s + 7)).
-    if lo >= -126 and hi <= 121:
+    if as_float32:
         values = values.astype(np.float32)
-    return QuantizedActivationPanel(values.reshape(n, k), spread, lo, hi)
+    return QuantizedActivationPanel(values.reshape(n, k), l1_bits, lo, hi)
 
 
 @lru_cache(maxsize=256)
@@ -446,10 +474,9 @@ def gemm_mxfp4_int8(w: MxfpTensor, a: QuantizedActivationPanel) -> np.ndarray:
     """
     _check_weight_act(w, a.k)
     w_op, w_spread, w_lo, w_hi = w.folded_operand
-    bits = TERM_BITS + (a.k - 1).bit_length()
     if (w_op is not None and a.operand.dtype == np.float32
-            and w_spread + a.spread + bits <= 24
-            and w_lo + a.lo >= -126 and w_hi + a.hi + bits <= 128):
+            and w_spread + a.l1_bits <= 24 and w_lo + a.lo >= -126
+            and w_hi + a.hi + TERM_BITS + (a.k - 1).bit_length() <= 128):
         out = np.matmul(a.operand, w_op)
     else:
         out = _fallback(w, a)

@@ -19,6 +19,11 @@ proposals plus the bonus, so with ``need`` tokens still wanted from the
 level, the child is asked for min(its ``spec_len``, ``need`` - 1); a
 request's ``max_new`` thus bounds every level's proposal, and a round
 with ``need`` 1 drafts nothing.
+
+While more than the context's last token is unfed, as for a prompt, a
+level over a cache-sharing draft catches up: its round drafts nothing and
+emits what one forward of the unfed tokens predicts, as greedy's first
+step does, so a request's first target forward is greedy's.
 """
 
 from __future__ import annotations
@@ -149,20 +154,19 @@ class GenerationResult:
     truncated: bool = False
 
 
+@dataclass(eq=False)
 class _Session:
     """One level's model plus its cache, which a sharing child also writes;
     the cache records the tokens it covers, and the next forward feeds
     tokens right after them. A level calls a sharing child only once the
     cache holds exactly ``context[:-1]``, so every position the child
-    writes is at or past ``len(context) - 1``, where the level's next
-    ``_unfed`` no longer compares and rolls back."""
+    writes is at or past ``len(context) - 1``, and the level rolls those
+    back as soon as the child returns."""
 
-    def __init__(self, spec: LevelSpec, level: int, child: "_Session | None",
-                 cache: KvCache):
-        self.spec = spec
-        self.level = level
-        self.child = child
-        self.cache = cache
+    spec: LevelSpec
+    level: int
+    child: "_Session | None"
+    cache: KvCache
 
     def _unfed(self, context: list[int], stats: AcceptanceStats) -> list[int]:
         """Roll the cache back to its longest prefix shared with
@@ -227,51 +231,46 @@ class _Session:
         set when a token's confidence falls below this level's threshold.
         At least the bonus token is always emitted, and at most ``need``
         tokens: a round emits its accepted proposals plus one bonus, so the
-        child is asked for at most ``need - 1``. With ``need`` 1, or at a
-        leaf, nothing is drafted and the round is one forward of the
-        level's unfed tokens. ``need - 1`` never passes the context left,
-        since ``propose`` bounds its budget by the context limit.
+        child is asked for at most ``need - 1``, which never passes the
+        context left, since ``propose`` bounds its budget by the context
+        limit. With ``need`` 1, at a leaf, or while a sharing child would
+        find more than the last token unfed, nothing is drafted: the round
+        is one forward of the unfed tokens, and leaves the cache holding
+        ``context[:-1]`` for the next.
         """
-        n_draft = 0 if self.child is None else min(self.child.spec.spec_len,
-                                                   need - 1)
+        child = self.child
+        shares = child is not None and child.cache is self.cache
         t0 = time.perf_counter()
-        if n_draft and self.child.cache is self.cache:
-            # The child reads the context's keys and values from this
-            # level's forwards: all but the last token are fed first.
-            prefill = self._unfed(context, stats)[:-1]
-            if prefill:
-                self._timed_forward(prefill, stats, n_logits=0)
-        t1 = time.perf_counter()
-        proposed = self.child.propose(context, n_draft, stats) if n_draft else []
-        t2 = time.perf_counter()
         unfed = self._unfed(context, stats)
+        n_draft = (0 if child is None or (shares and len(unfed) > 1)
+                   else min(child.spec.spec_len, need - 1))
+        t1 = time.perf_counter()
+        proposed = child.propose(context, n_draft, stats) if n_draft else []
+        t2 = time.perf_counter()
+        if shares and proposed:  # drop what the child wrote
+            self._rollback(len(context) - 1, stats)
         # Row j of ``logits`` follows context plus proposed[:j].
         logits = self._timed_forward(unfed + proposed, stats,
                                      n_logits=len(proposed) + 1)
+        picks = [greedy_next(row) for row in logits]
         accepted = 0
-        for j, tok in enumerate(proposed):
-            if greedy_next(logits[j]) != tok:
-                break
+        while accepted < len(proposed) and proposed[accepted] == picks[accepted]:
             accepted += 1
-        bonus = greedy_next(logits[accepted])
         # Drop cache entries of rejected proposals; bonus stays unprocessed.
         self._rollback(len(context) + accepted, stats)
         if proposed:
             stats.record(self.level + 1, len(proposed), accepted)
-        if self.child is not None:
+        if child is not None:
             stats.log.append(RoundRecord(
                 level=self.level, proposed=len(proposed), accepted=accepted,
                 draft_s=t2 - t1, verify_s=time.perf_counter() - t2 + t1 - t0,
             ))
-        emitted = proposed[:accepted] + [bonus]
+        emitted = picks[:accepted + 1]  # the accepted proposals and the bonus
         # Confidence stop applies to this level's own output stream.
-        stop = False
         for j, tok in enumerate(emitted):
             if self._unconfident(logits[j], tok):
-                emitted = emitted[: j + 1]
-                stop = True
-                break
-        return emitted, stop
+                return emitted[:j + 1], True
+        return emitted, False
 
 
 def build_sessions(tree: SpecTree) -> _Session:
@@ -372,6 +371,7 @@ class BenchmarkReport:
 
     def summary_dict(self) -> dict:
         t = self.totals
+        tokens = self.total_tokens or None  # no rate without a token
         return {
             "geomean_speedup": self.geomean_speedup,
             "per_level_alpha": {str(k): v for k, v in self.per_level_alpha.items()},
@@ -387,9 +387,12 @@ class BenchmarkReport:
             "per_level_mean_proposal": _by_level(
                 {lv: t.proposed[lv] / t.rounds[lv] for lv in t.levels()}),
             "per_level_checksum": _by_level(self.per_level_checksum),
+            "per_prompt_truncated": [r.truncated for r in self.results],
             "total_tokens": self.total_tokens,
             "greedy_seconds": self.greedy_seconds,
             "spec_seconds": self.spec_seconds,
+            "greedy_tok_s": tokens and tokens / self.greedy_seconds,
+            "spec_tok_s": tokens and tokens / self.spec_seconds,
         }
 
     def summary_json(self) -> str:
@@ -406,12 +409,9 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
     prompts = [list(p) for p in prompts]
     if not prompts:
         raise ValueError("prompt set must be non-empty")
-    results = []
-    speedups = []
-    alpha_rows = []
+    results, speedups, alpha_rows = [], [], []
     agg = AcceptanceStats()
-    total_tokens = 0
-    greedy_total = spec_total = 0.0
+    total_tokens, greedy_total, spec_total = 0, 0.0, 0.0
     for pi, prompt in enumerate(prompts):
         base = greedy_generate(tree.target, prompt, max_new, eos=eos)
         spec = speculative_generate(tree, prompt, max_new, eos=eos)
@@ -443,22 +443,20 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
     )
 
 
-ROUNDS_CSV_HEADER = "level,proposed,accepted,draft_ms,verify_ms"
+ROUNDS_CSV_HEADER = "prompt,level,proposed,accepted,draft_ms,verify_ms"
 ACCEPTANCE_CSV_HEADER = "prompt,level,alpha"
 
 
-def rounds_csv(rounds: list[RoundRecord]) -> str:
-    lines = [ROUNDS_CSV_HEADER]
-    for r in rounds:
-        lines.append(
-            f"{r.level},{r.proposed},{r.accepted},"
-            f"{r.draft_s * 1e3:.6f},{r.verify_s * 1e3:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows) -> str:
+    return "\n".join([header] + [",".join(map(str, row)) for row in rows]) + "\n"
+
+
+def rounds_csv(logs) -> str:
+    """A row per verify round of each prompt's log; prompt is its index."""
+    return _csv(ROUNDS_CSV_HEADER, (
+        (p, r.level, r.proposed, r.accepted, f"{r.draft_s * 1e3:.6f}",
+         f"{r.verify_s * 1e3:.6f}") for p, log in enumerate(logs) for r in log))
 
 
 def acceptance_csv(rows) -> str:
-    lines = [ACCEPTANCE_CSV_HEADER]
-    for prompt, level, alpha in rows:
-        lines.append(f"{prompt},{level},{alpha:.6f}")
-    return "\n".join(lines) + "\n"
+    return _csv(ACCEPTANCE_CSV_HEADER, ((p, lv, f"{a:.6f}") for p, lv, a in rows))

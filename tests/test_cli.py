@@ -148,8 +148,10 @@ class TestGenerate:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert "geomean_speedup" in summary and "1" in summary["per_level_alpha"]
         rounds = (out_dir / "rounds.csv").read_text().splitlines()
-        assert rounds[0] == "level,proposed,accepted,draft_ms,verify_ms"
-        assert len(rounds) > 1
+        assert rounds[0] == "prompt,level,proposed,accepted,draft_ms,verify_ms"
+        # Every prompt's rounds, in prompt order.
+        prompt_col = [int(row.split(",")[0]) for row in rounds[1:]]
+        assert prompt_col == sorted(prompt_col) and set(prompt_col) == {0, 1, 2}
         acc = (out_dir / "acceptance.csv").read_text().splitlines()
         assert acc[0] == "prompt,level,alpha"
         assert len(acc) == 4  # 3 prompts x 1 draft level
@@ -170,12 +172,13 @@ class TestGenerate:
         # The cast shares the target's cache, so it feeds only the token
         # it drafts from.
         assert fed["1"] == forwards["1"] > 0
-        # The target prefills and verifies several tokens per forward.
+        # The target feeds whole prompts and verifies several tokens per
+        # forward.
         assert fed["0"] > forwards["0"] > 0
         # Draft counts agree with the rounds that drafted something.
         rows = [line.split(",") for line in
                 (out_dir / "rounds.csv").read_text().splitlines()[1:]]
-        drafted = [(int(p), int(a)) for lv, p, a, *_ in rows
+        drafted = [(int(p), int(a)) for _, lv, p, a, *_ in rows
                    if lv == "0" and int(p)]
         assert drafted
         assert summary["per_level_wasted_draft_tokens"] == {
@@ -269,6 +272,28 @@ class TestGenerate:
         assert "geomean speedup n/a" in capsys.readouterr().err
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["geomean_speedup"] is None
+        # No token, no rate.
+        assert summary["greedy_tok_s"] is None and summary["spec_tok_s"] is None
+        assert summary["per_prompt_truncated"] == [False] * 3
+
+    def test_rates_and_truncation(self, models, tmp_path, capsys):
+        target, draft, prompts = models
+        # The third prompt fills the 128-token context but for 2 positions,
+        # so only 3 of its 8 tokens fit.
+        prompts.write_text("1 2 3\n9\n" + " ".join(["40"] * 126) + "\n")
+        out_dir = tmp_path / "o"
+        assert main(["generate", "--target", str(target), "--draft", str(draft),
+                     "--prompts", str(prompts), "--max-new", "8",
+                     "--out", str(out_dir)]) == 0
+        tokens = [line.split() for line in
+                  capsys.readouterr().out.strip().splitlines()]
+        assert [len(t) for t in tokens] == [8, 8, 3]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["per_prompt_truncated"] == [False, False, True]
+        assert summary["total_tokens"] == 19
+        for kind in ("greedy", "spec"):
+            assert summary[f"{kind}_tok_s"] == pytest.approx(
+                19 / summary[f"{kind}_seconds"])
 
     @pytest.mark.parametrize("flags,message", [
         (["--max-new", "-3"], "error: max_new must be >= 0, got -3"),

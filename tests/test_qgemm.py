@@ -145,7 +145,7 @@ class TestReference:
         a = np.zeros((2 * BLOCK_SIZE, 0))
         panel = quantize_activations(a)
         assert panel.operand.shape == (0, 2 * BLOCK_SIZE)
-        assert (panel.spread, panel.lo, panel.hi) == (0, NO_BLOCK, -NO_BLOCK)
+        assert (panel.l1_bits, panel.lo, panel.hi) == (-NO_BLOCK, NO_BLOCK, -NO_BLOCK)
         assert dequantize_activations(panel).shape == (2 * BLOCK_SIZE, 0)
         for got in (gemm_mxfp4_int8(w, panel), gemm_mxfp4_latescale_f32(w, a),
                     gemm_reference(dequantize(w), a)):
@@ -218,7 +218,9 @@ def quantize_activations_oracle(a):
     half to even, clamped to +-127 times it, zeros +0.0.
 
     Returns the (K, N) values, each block's s ([block][column]) and the
-    window facts (spread, lo, hi).
+    window facts (l1_bits, lo, hi): l1_bits is the smallest b with 15 *
+    sum |a| < 2^(b + min s) for every column, 7 if every value is 0, or
+    NO_BLOCK when lo or hi leaves float32's normal range.
     """
     a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
@@ -237,8 +239,18 @@ def quantize_activations_oracle(a):
                                for v in block]
             exps[b][j] = s
     cols = list(zip(*exps))
-    spread = max(max(c) - min(c) for c in cols)
-    return values, exps, (spread, min(map(min, cols)), max(map(max, cols)))
+    lo, hi = min(map(min, cols)), max(map(max, cols))
+    l1_bits = NO_BLOCK
+    if lo >= -126 and hi <= 121:
+        # 15 * sum |a| over column j, over 2^min s.
+        top = max(15 * sum(abs(Fraction(float(v))) for v in a[:, j])
+                  / Fraction(2) ** min(cols[j]) for j in range(n))
+        l1_bits = 7
+        if top:
+            l1_bits = top.numerator.bit_length() - top.denominator.bit_length() - 1
+            while top >= Fraction(2) ** l1_bits:
+                l1_bits += 1
+    return values, exps, (l1_bits, lo, hi)
 
 
 def assert_same_bits(got, want):
@@ -253,15 +265,15 @@ class TestActivationQuantization:
         p = quantize_activations(a)
         # Zeros come out +0.0; a zero block counts as exponent -7.
         assert_same_bits(dequantize_activations(p), np.zeros(a.shape))
-        assert (p.spread, p.lo, p.hi) == (0, -7, -7)
+        assert (p.l1_bits, p.lo, p.hi) == (7, -7, -7)
         assert p.operand.dtype == np.float32
 
     def test_max_127_block(self):
         a = np.zeros((BLOCK_SIZE, 1))
         a[0, 0], a[1, 0] = 127.0, -42.4
         p = quantize_activations(a)
-        # floor(log2 127) - 6 = 0: scale 1.0.
-        assert (p.lo, p.hi, p.spread) == (0, 0, 0)
+        # floor(log2 127) - 6 = 0: scale 1.0; 15 * 169.4 < 2^12.
+        assert (p.lo, p.hi, p.l1_bits) == (0, 0, 12)
         assert p.operand[0, 0] == 127 and p.operand[0, 1] == -42
 
     def test_half_integer_ties_to_even(self):
@@ -297,8 +309,9 @@ class TestActivationQuantization:
         p = quantize_activations(a)
         # 1 = 64 * 2^-6 and 254 = 127 * 2^1: exact, at scales 2^-6 and 2^1.
         assert_same_bits(dequantize_activations(p), a)
-        # Each column's blocks share an exponent: the spread is per column.
-        assert (p.spread, p.lo, p.hi) == (0, -6, 1)
+        # The larger column sets l1_bits: 15 * 64 * 254 < 2^(17 + 1), where
+        # 15 * 64 < 2^(16 - 6) would do for the other.
+        assert (p.l1_bits, p.lo, p.hi) == (17, -6, 1)
 
     @pytest.mark.parametrize("k", [32, 64, 512])
     @pytest.mark.parametrize("n", [1, 5, 17])
@@ -325,7 +338,7 @@ class TestActivationQuantization:
         values, exps, facts = quantize_activations_oracle(a)
         assert got.operand.dtype == np.float32
         assert_same_bits(dequantize_activations(got), values)
-        assert (got.spread, got.lo, got.hi) == facts
+        assert (got.l1_bits, got.lo, got.hi) == facts
         assert exps[-1][-1] == e
         assert_same_bits(values[-BLOCK_SIZE:, -1], np.rint(tie) * 2.0 ** e + 0.0)
         if clamp:
@@ -352,7 +365,7 @@ class TestActivationQuantization:
         assert exps[1][0] == e - 6
         assert got.operand.dtype == np.float64
         assert_same_bits(dequantize_activations(got), values)
-        assert (got.spread, got.lo, got.hi) == facts
+        assert (got.l1_bits, got.lo, got.hi) == facts
         if e < -1068:
             assert_same_bits(values[BLOCK_SIZE:], a[BLOCK_SIZE:])
 
@@ -554,15 +567,20 @@ class TestWindow:
 
     @classmethod
     def columns(cls, rng):
-        """Four in-window columns of spread 0, then the out-of-window ones
-        by kind, then an all-zero column."""
-        a = cls.blocks_at_most(rng.uniform(-1.5, 1.5, (cls.K, 8)), 1.5)
-        # Block maxima 2^4 apart: an activation spread of 4 > 24 - 11 - 10.
-        a[:, 4] *= np.tile([1.0, 2.0 ** -4], cls.K // 2)[np.arange(cls.K) // BLOCK_SIZE]
+        """Four in-window columns, then the out-of-window ones by kind, an
+        all-zero column and an in-window column of spread 4."""
+        a = cls.blocks_at_most(rng.uniform(-1.5, 1.5, (cls.K, 9)), 1.5)
+        # One block's maximum 2^5 below the rest: s_lo = -11, and 12 times
+        # the column's L1 norm, about 9,200, is past 2^(24 - 11).
+        a[:BLOCK_SIZE, 4] *= 2.0 ** -5
         a[:, 5] *= 2.0 ** 118  # float32 operands, products past 2^128
         a[:, 6] *= 2.0 ** -130  # float32 subnormals: a float64 operand
         a[:, 7] = 0.0
         a[:BLOCK_SIZE, 7] = -0.0
+        # 2^4 below the rest: s_lo = -10, and 15 * L1 < 2^(24 - 10), at the
+        # edge of the window, which a spread-based bound puts 1 bit past
+        # it: 4 + 11 + log2 K > 24.
+        a[:BLOCK_SIZE, 8] *= 2.0 ** -4
         return a
 
     def check(self, w, a, monkeypatch):
@@ -581,7 +599,20 @@ class TestWindow:
     def test_in_window_batch_is_one_sgemm(self, monkeypatch):
         rng = np.random.default_rng(30)
         a = self.columns(rng)
-        assert self.check(self.weight(rng), a[:, [0, 1, 2, 3, 7]], monkeypatch) == []
+        assert self.check(self.weight(rng), a[:, [0, 1, 2, 3, 7, 8]], monkeypatch) == []
+
+    def test_l1_bound_edge(self, monkeypatch):
+        # The spread-4 column sits at the window's edge and stays in it;
+        # the spread-5 one is past the L1 bound itself, not only past its
+        # 15 / 12 margin, and falls back.
+        rng = np.random.default_rng(38)
+        w, a = self.weight(rng), self.columns(rng)
+        for col, l1_bits, lo, calls in ((8, 24, -10, []), (4, 25, -11, [1, 1])):
+            panel = quantize_activations(a[:, col:col + 1])
+            assert (w.folded_operand[1], panel.l1_bits, panel.lo) == (0, l1_bits, lo)
+            l1 = sum(abs(Fraction(float(v))) for v in panel.operand[0])
+            assert (12 * l1 > 2 ** (24 + lo)) == (col == 4)
+            assert self.check(w, a[:, [col]], monkeypatch) == calls
 
     @pytest.mark.parametrize("col", [4, 5, 6])
     def test_out_of_window_column(self, col, monkeypatch):
@@ -617,7 +648,7 @@ class TestWindow:
         # order BLAS adds in, so it equals the rational oracle's.
         rng = np.random.default_rng(36)
         w = self.weight(rng)
-        a = self.columns(rng)[:, :2]
+        a = self.columns(rng)[:, [0, 1, 8]]
         assert_same_bits(gemm_mxfp4_int8(w, quantize_activations(a)),
                          einsum_int8_oracle(w, a))
 

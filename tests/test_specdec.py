@@ -312,16 +312,19 @@ def replay_shared_draft(target, draft, prompt, max_new, spec_len, threshold):
     """(proposed, accepted, rounds) of a two-level tree whose draft shares
     the target's cache, replayed round by round from fresh caches.
 
-    In each round the target has fed all of the context but its last
-    token; the draft feeds that token and then each of its proposals, one
-    forward per token. A proposal stops at ``spec_len`` tokens, at one
-    fewer than the request still needs, or after a token whose probability
-    is below ``threshold``. A round that drafts nothing records nothing.
-    The context limit is not modelled: the request must stay short of it.
+    A prompt of more than one token is caught up first: that round drafts
+    nothing and the target emits its first token. In every later round
+    the target has fed all of the context but its last token; the draft
+    feeds that token and then each of its proposals, one forward per
+    token. A proposal stops at ``spec_len`` tokens, at one fewer than the
+    request still needs, or after a token whose probability is below
+    ``threshold``. A round that drafts nothing records nothing. The
+    context limit is not modelled: the request must stay short of it.
     """
     want = greedy_generate(target, prompt, max_new).tokens
     assert len(prompt) + max_new <= target.config.max_seq_len
-    proposed = accepted = rounds = done = 0
+    proposed = accepted = rounds = 0
+    done = min(len(want), int(len(prompt) > 1))  # the catch-up round
     while done < len(want):
         context = prompt + want[:done]
         draft_out = []
@@ -375,12 +378,11 @@ class TestForwardCount:
                     stats.rounds[1]) == replay
             proposed += stats.proposed[1]
             target_rounds += sum(r.level == 0 for r in stats.log)
-        # One target forward per level-0 round, plus one prefill of a prompt
-        # longer than one token before the first draft; one draft forward
-        # per drafted token: the unfed tail of the context rides along with
+        # One target forward per level-0 round, the catch-up round of a
+        # prompt longer than one token included; one draft forward per
+        # drafted token: the unfed tail of the context rides along with
         # the round's own tokens.
-        prefills = sum(len(p) > 1 for p in self.PROMPTS)
-        assert calls[id(target)] == target_rounds + prefills
+        assert calls[id(target)] == target_rounds
         assert calls[id(mx_draft)] == proposed
         assert sum(calls.values()) < before
 
@@ -398,6 +400,20 @@ class TestProposalBudget:
         return SpecTree([LevelSpec(target)] + [
             LevelSpec(d, spec_len=n, threshold=threshold)
             for d, n in zip(drafts, (5, 3))])
+
+    @staticmethod
+    def requests(target):
+        """(prompt, max_new, eos, greedy's result) for prompts short of,
+        near and at the context limit, budgets from 0 to past it, each
+        without an eos and with the middle greedy token as eos."""
+        max_len = LIMIT.max_seq_len
+        for n in (3, max_len - 2, max_len - 1, max_len):
+            prompt = [(7 * i + 3) % 64 for i in range(n)]
+            for max_new in (0, 1, 2, 3, 8, 32):
+                base = greedy_generate(target, prompt, max_new).tokens
+                for eos in [None] + base[len(base) // 2:][:1]:
+                    yield (prompt, max_new, eos,
+                           greedy_generate(target, prompt, max_new, eos))
 
     @pytest.mark.parametrize("shape", ["mx", "small", "mx-small", "small-mx"])
     @pytest.mark.parametrize("threshold", [0.0, 0.4])
@@ -426,23 +442,46 @@ class TestProposalBudget:
             return out
 
         monkeypatch.setattr(specdec._Session, "propose", spy)
-        max_len = LIMIT.max_seq_len
         drafted = 0
-        for n in (3, max_len - 2, max_len - 1, max_len):
-            prompt = [(7 * i + 3) % 64 for i in range(n)]
-            for max_new in (0, 1, 2, 3, 8, 32):
-                base = greedy_generate(tree.target, prompt, max_new).tokens
-                # No eos, then the middle greedy token as eos.
-                for eos in [None] + base[len(base) // 2:][:1]:
-                    want = greedy_generate(tree.target, prompt, max_new, eos)
-                    child_calls.clear()
-                    spec = speculative_generate(tree, prompt, max_new, eos)
-                    assert ((spec.tokens, spec.truncated)
-                            == (want.tokens, want.truncated)), (n, max_new, eos)
-                    bad = [c for c in child_calls if not 1 <= c[1] <= c[2] - 1]
-                    assert not bad, (n, max_new, eos, bad)
-                    drafted += len(child_calls)
+        for prompt, max_new, eos, want in self.requests(tree.target):
+            child_calls.clear()
+            spec = speculative_generate(tree, prompt, max_new, eos)
+            assert ((spec.tokens, spec.truncated)
+                    == (want.tokens, want.truncated)), (len(prompt), max_new, eos)
+            bad = [c for c in child_calls if not 1 <= c[1] <= c[2] - 1]
+            assert not bad, (len(prompt), max_new, eos, bad)
+            drafted += len(child_calls)
         assert drafted and not overshoots
+
+    @pytest.mark.parametrize("shape", ["mx", "mx-small", "small-mx"])
+    @pytest.mark.parametrize("threshold", [0.0, 0.4])
+    def test_sharing_child_finds_context_but_last_token(self, monkeypatch,
+                                                         shape, threshold):
+        # The invariant that lets a sharing child write its caller's cache:
+        # when it is called, the cache holds exactly the context but its
+        # last token, so it writes only where the caller rolls back.
+        tree = self.tree(shape, threshold)
+        real = specdec._Session.propose
+        callers, found = [], []
+
+        def spy(session, context, n_max, stats, eos=None):
+            if callers and callers[-1].cache is session.cache:
+                cache = session.cache
+                found.append((cache.tokens[:cache.length].tolist(), context[:-1]))
+            callers.append(session)
+            try:
+                return real(session, context, n_max, stats, eos)
+            finally:
+                callers.pop()
+
+        monkeypatch.setattr(specdec._Session, "propose", spy)
+        for prompt, max_new, eos, want in self.requests(tree.target):
+            spec = speculative_generate(tree, prompt, max_new, eos)
+            assert ((spec.tokens, spec.truncated)
+                    == (want.tokens, want.truncated)), (len(prompt), max_new, eos)
+        assert found
+        bad = [(len(held), len(want)) for held, want in found if held != want]
+        assert not bad
 
     def test_single_token_request_makes_one_target_forward(self, monkeypatch):
         tree = self.tree("mx-small", 0.0)
@@ -513,12 +552,39 @@ class TestSharedCache:
                 res = speculative_generate(tree, prompt, 32)
                 draft = [(pos, n) for m, pos, n in fed if m is mx_draft]
                 assert draft and all(n == 1 for _, n in draft)
-                assert min(pos for pos, _ in draft) == len(prompt) - 1
-                # The target alone prefills, before the first draft.
-                assert fed[0] == (target, 0, len(prompt) - 1)
+                # The target forwards the whole prompt and emits its first
+                # token before the draft runs, from the position after it.
+                assert fed[0] == (target, 0, len(prompt))
+                assert min(pos for pos, _ in draft) == len(prompt)
                 stats = res.stats
                 assert (stats.forwards[1] == stats.tokens_fed[1]
                         == stats.proposed[1] == len(draft))
+
+    @pytest.mark.parametrize("prompt", [[7, 40], [7, 40, 99, 5], [3] * 30])
+    def test_first_target_forward_is_greedys(self, target, mx_draft,
+                                            small_draft, monkeypatch, prompt):
+        calls = []
+        real = specdec.forward
+
+        def recording(model, cache, tokens, *, n_logits=None):
+            logits = real(model, cache, tokens, n_logits=n_logits)
+            if model is target:
+                calls.append((list(tokens), n_logits, logits))
+            return logits
+
+        monkeypatch.setattr(specdec, "forward", recording)
+        greedy_generate(target, prompt, 8)
+        want = calls[0]
+        assert want[:2] == (prompt, 1)
+        for tree in (two_level(target, mx_draft),
+                     SpecTree([LevelSpec(target, 4, 0.0), LevelSpec(mx_draft, 3, 0.0),
+                               LevelSpec(small_draft, 2, 0.0)])):
+            calls.clear()
+            speculative_generate(tree, prompt, 8)
+            # The whole prompt in one forward that reads one row: greedy's
+            # first step, bit for bit.
+            assert calls[0][:2] == want[:2]
+            assert calls[0][2].tobytes() == want[2].tobytes()
 
     def test_target_logits_byte_identical(self, target, monkeypatch):
         tree = two_level(target, fresh_linears(target, 5), n=4)
@@ -535,9 +601,10 @@ class TestSharedCache:
         prompt = [3, 1, 4, 1, 5]
         res = speculative_generate(tree, prompt, 40)
         seq = prompt + res.tokens
-        # The split prefill returns no row; each round's forward returns
-        # the rows of its last fed position and its proposals.
-        assert rows[0][0] == prompt[:-1] and rows[0][1].shape == (0, CFG.vocab_size)
+        # The first forward is the whole prompt and returns greedy's one
+        # row; each later round's forward returns the rows of its last fed
+        # position and its proposals.
+        assert rows[0][0] == prompt and rows[0][1].shape == (1, CFG.vocab_size)
         read = set()
         for fed, logits in rows:
             start = len(fed) - len(logits)
@@ -749,11 +816,16 @@ class TestGeomean:
 
 class TestCsv:
     def test_rounds_csv(self):
-        rows = [RoundRecord(0, 4, 2, 0.001, 0.002)]
-        text = rounds_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == ROUNDS_CSV_HEADER == "level,proposed,accepted,draft_ms,verify_ms"
-        assert lines[1].startswith("0,4,2,1.000000,2.000000")
+        logs = [[RoundRecord(0, 4, 2, 0.001, 0.002)], [],
+                [RoundRecord(1, 3, 0, 0.0005, 0.25), RoundRecord(0, 0, 0, 0.0, 0.004)]]
+        lines = rounds_csv(logs).strip().split("\n")
+        assert lines[0] == ROUNDS_CSV_HEADER == (
+            "prompt,level,proposed,accepted,draft_ms,verify_ms")
+        # The prompt column is the log's index; a prompt without rounds
+        # has no row.
+        assert lines[1:] == ["0,0,4,2,1.000000,2.000000",
+                             "2,1,3,0,0.500000,250.000000",
+                             "2,0,0,0,0.000000,4.000000"]
 
     def test_acceptance_csv(self):
         text = acceptance_csv([(0, 1, 0.5), (1, 1, 0.25)])

@@ -194,8 +194,8 @@ class TestForward:
 # blocks and once in a single block, whose matmuls are large enough for
 # OpenBLAS to split across threads. So is the int8 GEMM's (16, 64) by
 # (64, 4096) sgemm. The second int8 GEMM, at K = 1024, batches columns
-# inside its exact float32 window with one of each kind outside it: an
-# activation spread past the budget, products past float32's range,
+# inside its exact float32 window with one of each kind outside it: a
+# column past the L1 bound, products past float32's range,
 # activations below float32's normal range and an all-zero column.
 _BLAS_PROBE = """
 import hashlib
@@ -210,7 +210,7 @@ h.update(qgemm.gemm_mxfp4_int8(
     qgemm.quantize_activations(rng.standard_normal((64, 16)))).tobytes())
 w = quantize_direct_cast(rng.uniform(-1, 1, (2048, 1024)))
 a = rng.uniform(-1, 1, (1024, 12))
-a[:, 8] *= np.repeat(np.tile([1.0, 2.0 ** -5], 16), 32)
+a[:, 8] *= np.repeat(np.tile([1.0, 2.0 ** -7], 16), 32)
 a[:, 9] *= 2.0 ** 120
 a[:, 10] *= 2.0 ** -140
 a[:, 11] = 0.0
