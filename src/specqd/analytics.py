@@ -72,17 +72,14 @@ def speedup_multilevel(p: MultiLevelParams) -> float:
     return speedup_sd(boosted)
 
 
-def surface_csv(mode: str, alphas=None, s_values=(4.0, 20.0, 100.0),
-                n: float = 4.0, inner_alphas=None,
-                s1: float = 4.0, s2: float = 100.0) -> str:
+def surface_csv(mode: str, alphas, s_values=(4.0, 20.0, 100.0),
+                n: float = 4.0, s1: float = 4.0, s2: float = 100.0) -> str:
     """Dense speedup grid for external plotting.
 
     ``single``: columns alpha,S,speedup over the alpha x S grid.
-    ``multi``:  columns alpha_inner,alpha_outer,speedup over the alpha grid
-    pair, with draft speeds S1 (intermediate) and S2 (last level).
+    ``multi``:  columns alpha_inner,alpha_outer,speedup over the alpha x
+    alpha grid, with draft speeds S1 (intermediate) and S2 (last level).
     """
-    if alphas is None:
-        alphas = np.linspace(0.0, 1.0, 101)
     out = io.StringIO()
     if mode == "single":
         out.write("alpha,S,speedup\n")
@@ -91,10 +88,8 @@ def surface_csv(mode: str, alphas=None, s_values=(4.0, 20.0, 100.0),
                 sp = speedup_sd(SpeedupParams(float(a), n, float(s)))
                 out.write(f"{a:.6f},{s:g},{sp:.9f}\n")
     elif mode == "multi":
-        if inner_alphas is None:
-            inner_alphas = alphas
         out.write("alpha_inner,alpha_outer,speedup\n")
-        for ai in inner_alphas:
+        for ai in alphas:
             for ao in alphas:
                 p = MultiLevelParams(
                     outer=SpeedupParams(float(ao), n, s1),

@@ -151,16 +151,6 @@ def load_tensor(stream):
     return MxfpTensor(rows, cols, codes, scales)
 
 
-def save_tensor_file(path, tensor):
-    with open(path, "wb") as fh:
-        save_tensor(fh, tensor)
-
-
-def load_tensor_file(path):
-    with open(path, "rb") as fh:
-        return load_tensor(fh)
-
-
 def _model_tensor_items(model: TinyLmModel) -> list:
     """Each section's name and tensor, in file order: a vector is stored as
     one row, a linear as its weight."""

@@ -43,17 +43,14 @@ The panel's fact ``l1_bits`` is the smallest b with 15 * sum |a_t| <
 
     spread_w + l1_bits <= 24.
 
-Bounding each term by 12 * 127 < 2^11 (TERM_BITS) times its power of two
-instead gives spread_w + spread_a + 11 + ceil(log2 K) <= 24, for spread_a
-a column's span of block exponents; since 15 * 127.5 < 2^11, the L1 bound
-admits every column that one does, and at K = 1024 columns of spread 4
-too. The exponent ranges must also keep operands, terms and sums normal
-float32s. Both operands carry these facts as Python ints, the
-activations' computed once per panel by the quantizer, so the check costs
-a few integer comparisons per call. It is conservative: a panel outside
-it falls back to the exact-slice reference product of the dequantized
-operands, which is exact too wherever a column is inside the window, so a
-column's bits never depend on the path its call took.
+The exponent ranges must also keep operands, terms and sums normal
+float32s; ``TERM_BITS`` bounds every term, and so every sum, for the
+check that none overflows. Both operands carry these facts as Python
+ints, the activations' computed once per panel by the quantizer, so the
+check costs a few integer comparisons per call. It is conservative: a
+panel outside it falls back to the exact-slice reference product of the
+dequantized operands, which is exact too wherever a column is inside the
+window, so a column's bits never depend on the path its call took.
 
 ``gemm_reference`` is exact the same way, after an Ozaki-style error-free
 split (Ozaki et al. 2012, Numer. Algorithms 59) that attention in
@@ -474,8 +471,8 @@ def gemm_mxfp4_int8(w: MxfpTensor, a: QuantizedActivationPanel) -> np.ndarray:
     """
     _check_weight_act(w, a.k)
     w_op, w_spread, w_lo, w_hi = w.folded_operand
-    if (w_op is not None and a.operand.dtype == np.float32
-            and w_spread + a.l1_bits <= 24 and w_lo + a.lo >= -126
+    # A float64 panel's l1_bits, NO_BLOCK, fails the window.
+    if (w_op is not None and w_spread + a.l1_bits <= 24 and w_lo + a.lo >= -126
             and w_hi + a.hi + TERM_BITS + (a.k - 1).bit_length() <= 128):
         out = np.matmul(a.operand, w_op)
     else:

@@ -32,6 +32,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from statistics import geometric_mean
 
 import numpy as np
 
@@ -172,10 +173,10 @@ class _Session:
         """Roll the cache back to its longest prefix shared with
         ``context[:-1]``; return the tokens of ``context`` it still lacks.
 
-        The result always ends with ``context[-1]``, so the level's next
-        forward feeds it along with the round's own tokens. Positions from
-        ``len(context) - 1`` on, the only ones a sharing child can have
-        written since this level's last forward, are never kept.
+        The result always ends with ``context[-1]``, even where the cache
+        holds it: no logits are cached, so the level's next forward feeds
+        it, along with the round's own tokens, for the row that predicts
+        what follows the context.
         """
         fed = self.cache.tokens[:min(self.cache.length, len(context) - 1)]
         differ = np.flatnonzero(fed != context[:fed.size])
@@ -345,13 +346,6 @@ def speculative_generate(tree: SpecTree, prompt, max_new: int,
                             truncated=truncated)
 
 
-def geomean(values) -> float:
-    v = np.asarray(list(values), dtype=np.float64)
-    if v.size == 0 or np.any(v <= 0):
-        raise ValueError("geomean requires a non-empty positive sequence")
-    return float(np.exp(np.mean(np.log(v))))
-
-
 class LosslessnessError(RuntimeError):
     """Speculative decoding emitted other tokens than greedy decoding."""
 
@@ -431,7 +425,7 @@ def run_benchmark(tree: SpecTree, prompts, max_new: int,
         results=results,
         per_prompt_speedups=speedups,
         geomean_speedup=(None if not speedups
-                         else geomean(speedups) if tree.depth else 1.0),
+                         else geometric_mean(speedups) if tree.depth else 1.0),
         alpha_rows=alpha_rows,
         per_level_alpha=per_level,
         totals=agg,

@@ -110,28 +110,23 @@ class LinearWeight:
         """y = x @ W.T for x of shape (n_tokens, in_features), or for its
         ``last`` rows only.
 
-        ``operands`` keeps the GEMM operand made from x per storage kind and
-        width, so linears that read the same x transpose, pad and quantize
-        it once; ``last`` takes that operand's last columns, which is exact,
-        since every column is quantized and multiplied on its own. No rows
-        make no kernel call.
+        ``operands`` keeps the GEMM operand made from x per storage kind,
+        so linears that read the same x transpose, pad and quantize it
+        once; ``last`` takes that operand's last columns, which is exact,
+        since every column is quantized and multiplied on its own.
         """
-        n = x.shape[0]
-        rows = n if last is None else last
-        if not rows:
-            return np.zeros((0, self.shape[0]))
+        quantized = self.is_quantized
         if operands is None:
-            a = self._operand(x[n - rows:])
-        else:
-            key = (self.is_quantized, self.shape[1])
-            if key not in operands:
-                operands[key] = self._operand(x)
-            a = operands[key]
-            if rows < n:
-                # A panel's window facts hold for any of its columns.
-                a = (replace(a, operand=a.operand[n - rows:])
-                     if self.is_quantized else a[:, n - rows:])
-        if not self.is_quantized:
+            operands = {}
+        if quantized not in operands:
+            operands[quantized] = self._operand(x)
+        a = operands[quantized]
+        n = x.shape[0]
+        if last is not None and last < n:
+            # A panel's window facts hold for any of its columns.
+            a = (replace(a, operand=a.operand[n - last:])
+                 if quantized else a[:, n - last:])
+        if not quantized:
             return qgemm.gemm_reference(self.weight, a).T
         return qgemm.gemm_mxfp4_int8(self.weight, a).T
 
@@ -439,16 +434,15 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens, *,
     positions therefore costs one call. Keys and values are written in
     place past the cached positions for every new token, and ``length``
     advances only once the logits exist, so a forward that raises, also
-    for an ``n_logits`` outside [0, len(new_tokens)], leaves the cache as
+    for an ``n_logits`` outside [1, len(new_tokens)], leaves the cache as
     it was.
 
     Only the last layer's keys and values of a position whose logits are
     not returned are ever read, so its queries, attention, ``wo``, MLP,
-    final norm and LM head run on the kept rows alone; with ``n_logits``
-    0 the forward ends once the last layer's keys and values are written.
-    Every step is computed per position (a GEMM column, a layer-norm row,
-    an attention query row), so the kept rows and the cache get the same
-    bits as in the full forward.
+    final norm and LM head run on the kept rows alone. Every step is
+    computed per position (a GEMM column, a layer-norm row, an attention
+    query row), so the kept rows and the cache get the same bits as in the
+    full forward.
     """
     cfg = model.config
     tokens = np.asarray(new_tokens, dtype=np.int64)
@@ -463,8 +457,8 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens, *,
     if n_logits is None:
         n_logits = n
     elif (isinstance(n_logits, bool) or not isinstance(n_logits, (int, np.integer))
-          or not 0 <= n_logits <= n):
-        raise ValueError(f"n_logits must be an integer in [0, {n}], got {n_logits!r}")
+          or not 1 <= n_logits <= n):
+        raise ValueError(f"n_logits must be an integer in [1, {n}], got {n_logits!r}")
     start = cache.length
     end = start + n
     if end > cfg.max_seq_len:
@@ -486,19 +480,14 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens, *,
                 for lw in (layer.wk, layer.wv))
         q = layer.wq.apply(h, operands, last=rows).reshape(rows, cfg.n_heads, d_head)
         ctx = _attention(q, k, v, cache, li, start)
-        if not rows:
-            break
         x = x[n - rows:] + layer.wo.apply(ctx.reshape(rows, cfg.d_model))
 
         h = _layer_norm(x, layer.ln2_g, layer.ln2_b, cfg.norm_epsilon)
         up = _gelu(layer.w_up.apply(h))
         x = x + layer.w_down.apply(up)
 
-    if n_logits:
-        h = _layer_norm(x, model.final_ln_g, model.final_ln_b, cfg.norm_epsilon)
-        logits = model.w_out.apply(h)
-    else:
-        logits = np.zeros((0, cfg.vocab_size))
+    h = _layer_norm(x, model.final_ln_g, model.final_ln_b, cfg.norm_epsilon)
+    logits = model.w_out.apply(h)
     cache.tokens[start:end] = tokens
     cache.length = end
     return logits

@@ -144,14 +144,18 @@ class TestSurfaceCsv:
         )
 
     def test_multi_grid(self):
-        text = surface_csv("multi", alphas=[0.2, 0.8], inner_alphas=[0.5])
+        text = surface_csv("multi", alphas=[0.2, 0.8])
         lines = text.strip().split("\n")
         assert lines[0] == "alpha_inner,alpha_outer,speedup"
-        assert len(lines) == 3
+        assert [tuple(map(float, line.split(",")[:2])) for line in lines[1:]] == [
+            (0.2, 0.2), (0.2, 0.8), (0.8, 0.2), (0.8, 0.8)]
+        assert float(lines[2].split(",")[2]) == pytest.approx(speedup_multilevel(MultiLevelParams(
+            outer=SpeedupParams(0.8, 4, 4.0), inner=SpeedupParams(0.2, 4, 25.0),
+        )), rel=1e-6)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            surface_csv("cube")
+            surface_csv("cube", alphas=[0.5])
 
 
 class TestRoofline:

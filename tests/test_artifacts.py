@@ -16,11 +16,9 @@ from specqd.artifacts import (
     load_model,
     load_prompts,
     load_tensor,
-    load_tensor_file,
     pack_nibbles,
     save_model,
     save_tensor,
-    save_tensor_file,
     unpack_nibbles,
 )
 from specqd.mxfp4 import BLOCK_SIZE, quantize_direct_cast
@@ -57,16 +55,20 @@ class TestTensorRoundtrip:
             np.float32
         ).astype(np.float64)
         p = tmp_path / "t.bin"
-        save_tensor_file(p, x)
-        assert np.array_equal(load_tensor_file(p), x)
+        with open(p, "wb") as fh:
+            save_tensor(fh, x)
+        with open(p, "rb") as fh:
+            assert np.array_equal(load_tensor(fh), x)
 
     def test_mxfp4(self, tmp_path):
         t = quantize_direct_cast(
             np.random.default_rng(2).standard_normal((4, 40))
         )
         p = tmp_path / "q.bin"
-        save_tensor_file(p, t)
-        got = load_tensor_file(p)
+        with open(p, "wb") as fh:
+            save_tensor(fh, t)
+        with open(p, "rb") as fh:
+            got = load_tensor(fh)
         assert got == t
         assert got.cols == 40 and got.padded_cols == 2 * BLOCK_SIZE
 
@@ -74,8 +76,10 @@ class TestTensorRoundtrip:
     def test_mxfp4_zero_rows(self, tmp_path, cols):
         t = quantize_direct_cast(np.zeros((0, cols)))
         p = tmp_path / "q.bin"
-        save_tensor_file(p, t)
-        got = load_tensor_file(p)
+        with open(p, "wb") as fh:
+            save_tensor(fh, t)
+        with open(p, "rb") as fh:
+            got = load_tensor(fh)
         assert got == t and (got.rows, got.cols) == (0, cols)
         assert got.scale_exp.shape == t.scale_exp.shape
 
@@ -143,12 +147,13 @@ class TestTensorRoundtrip:
             "mxfp4-2^63-cols"])
     def test_declared_size_beyond_file(self, tmp_path, tensor, rows, cols):
         p = tmp_path / "t.bin"
-        save_tensor_file(p, tensor)
+        with open(p, "wb") as fh:
+            save_tensor(fh, tensor)
         data = bytearray(p.read_bytes())
         data[8:24] = struct.pack("<QQ", rows, cols)
         p.write_bytes(bytes(data))
-        with pytest.raises(TruncatedPayload):
-            load_tensor_file(p)
+        with open(p, "rb") as fh, pytest.raises(TruncatedPayload):
+            load_tensor(fh)
 
 
 def _rewrite_config(path, model, edit):

@@ -1,4 +1,5 @@
 import json
+import statistics
 from collections import Counter
 from dataclasses import replace
 
@@ -16,7 +17,6 @@ from specqd.specdec import (
     RoundRecord,
     SpecTree,
     acceptance_csv,
-    geomean,
     greedy_generate,
     rounds_csv,
     run_benchmark,
@@ -762,6 +762,8 @@ class TestBenchmark:
         assert len(rep.per_prompt_speedups) == 3
         assert 0.0 <= rep.per_level_alpha[1] <= 1.0
         assert {r[0] for r in rep.alpha_rows} <= {0, 1, 2}
+        assert rep.geomean_speedup == statistics.geometric_mean(
+            rep.per_prompt_speedups)
         d = rep.summary_dict()
         assert set(d) >= {"geomean_speedup", "per_level_alpha", "total_tokens"}
 
@@ -800,18 +802,6 @@ class TestBenchmark:
         assert rep.total_tokens == 0 and rep.per_prompt_speedups == []
         assert rep.geomean_speedup is None
         assert json.loads(rep.summary_json())["geomean_speedup"] is None
-
-
-class TestGeomean:
-    def test_values(self):
-        assert geomean([2.0, 8.0]) == pytest.approx(4.0)
-        assert geomean([3.0]) == pytest.approx(3.0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geomean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geomean([])
 
 
 class TestCsv:

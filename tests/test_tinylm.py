@@ -187,6 +187,22 @@ class TestForward:
         want = 4 * CFG.n_layers + 1 if m.is_quantized else 0
         assert len(calls) == want
 
+    @pytest.mark.parametrize("mdl", ["model", "qmodel"])
+    def test_apply_rows_whatever_the_operand_dict(self, mdl, request):
+        # A call without a dict makes its operand in a fresh one; a shared
+        # dict hands wq the operand wk made; ``last`` keeps its last rows.
+        layer = request.getfixturevalue(mdl).layers[0]
+        x = np.random.default_rng(3).standard_normal((5, CFG.d_model))
+        full = layer.wq.apply(x)
+        operands = {}
+        layer.wk.apply(x, operands)
+        assert layer.wq.apply(x, operands).tobytes() == full.tobytes()
+        for k in (1, 2, 5):
+            want = full[5 - k:].tobytes()
+            assert layer.wq.apply(x, last=k).tobytes() == want
+            assert layer.wq.apply(x, operands, last=k).tobytes() == want
+        assert len(operands) == 1
+
 
 # Prints one digest over a reference GEMM, two int8 GEMMs and the logits of
 # d64 forwards of a float model and its MXFP4 cast: 40 tokens, then a
@@ -456,7 +472,7 @@ class TestLogitRows:
     # The first case leaves room for 10 more tokens, the second ends at
     # max_seq_len.
     @pytest.mark.parametrize("start,n", [(0, 150), (7, 153), (40, 3)])
-    @pytest.mark.parametrize("m", ["0", "1", "2", "n"])
+    @pytest.mark.parametrize("m", ["1", "2", "n"])
     def test_last_rows_and_cache(self, rows_model, start, n, m):
         cfg = rows_model.config
         m = n if m == "n" else int(m)
@@ -472,7 +488,7 @@ class TestLogitRows:
             after = forward(rows_model, cache, rest)
             assert after.tobytes() == forward(rows_model, full_cache, rest).tobytes()
 
-    @pytest.mark.parametrize("bad", [-1, 4, 1.0, "1", True, np.float64(2)])
+    @pytest.mark.parametrize("bad", [-1, 0, 4, 1.0, "1", True, np.float64(2)])
     def test_bad_n_logits_rejected(self, model, bad):
         cache = KvCache.empty(CFG)
         forward(model, cache, [1, 2])
