@@ -119,21 +119,23 @@ def fold_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
     their rounding can change with the buffer an operand happens to live in.
     A fixed halving tree built from elementwise adds is bit-deterministic,
     which the batch-equals-incremental and thread-invariance contracts need.
+    Each level adds neighbouring pairs; an odd level's last element moves
+    up as it is. ``ValueError`` for a bad or zero-length axis.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not -x.ndim <= axis < x.ndim:
-        raise ValueError(f"axis {axis} out of range for {x.ndim}-D input")
-    axis %= x.ndim
-    lead = (slice(None),) * axis  # index along ``axis`` in place
-    if x.shape[axis] == 0:
-        return np.zeros(x.shape[:axis] + x.shape[axis + 1:])
-    while (n := x.shape[axis]) > 1:
-        half = n // 2
-        y = x[lead + (slice(0, 2 * half, 2),)] + x[lead + (slice(1, 2 * half, 2),)]
+    if not -x.ndim <= axis < x.ndim or not x.shape[axis]:
+        raise ValueError(f"cannot sum axis {axis} of shape {x.shape}")
+    if axis % x.ndim != x.ndim - 1:
+        x = np.moveaxis(x, axis, -1)
+    while (n := x.shape[-1]) > 1:
         if n % 2:
-            y = np.concatenate([y, x[lead + (slice(n - 1, n),)]], axis=axis)
-        x = y
-    return x[lead + (0,)]
+            y = np.empty(x.shape[:-1] + (n // 2 + 1,))
+            np.add(x[..., :-1:2], x[..., 1::2], out=y[..., :-1])
+            y[..., -1] = x[..., -1]
+            x = y
+        else:
+            x = x[..., ::2] + x[..., 1::2]
+    return x[..., 0]
 
 
 class GemmShapeError(ValueError):
@@ -151,8 +153,7 @@ class QuantizedActivationPanel:
     column's values before quantization below 2^(b + s_lo), s_lo the
     column's smallest s, so that 12 * sum |q * 2^s| is too (module
     docstring); 7 if every value is 0, NO_BLOCK for a float64 operand.
-    lo, hi: the smallest and largest s. An empty panel has l1_bits and hi
-    -NO_BLOCK, lo NO_BLOCK.
+    lo, hi: the smallest and largest s.
     """
 
     operand: np.ndarray
@@ -250,7 +251,8 @@ def row_exponents(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
 
 
 def row_slices(x: np.ndarray, bits: int, count: int, out: np.ndarray | None = None,
-               exps=None, work: np.ndarray | None = None) -> np.ndarray:
+               exps=None, work: np.ndarray | None = None,
+               scaled: bool = True) -> np.ndarray:
     """``count`` slices of every row of x (its last axis): slice s is an
     integer of ``bits`` bits times 2^(e - bits * (s + 1)), for e the row's
     ``exps`` (``row_exponents(x, work)`` unless given), and the slices sum
@@ -258,7 +260,9 @@ def row_slices(x: np.ndarray, bits: int, count: int, out: np.ndarray | None = No
     exact in float64's normal range. The slices go to ``out`` (shape
     (count,) + x.shape) when given, whose last slice also holds the
     remainder as it shrinks, so no other array of x's size is allocated;
-    that slice may be x itself."""
+    that slice may be x itself. With ``scaled`` False the slices stay
+    integers, for a caller that scales a sum or a product of them instead,
+    which is as exact and touches fewer elements."""
     if exps is None:
         exps = row_exponents(x, work)
     if out is None:
@@ -269,7 +273,8 @@ def row_slices(x: np.ndarray, bits: int, count: int, out: np.ndarray | None = No
         rest -= out[s]
         rest *= 2.0 ** bits
     np.trunc(rest, out=rest)
-    out *= np.ldexp(_slice_steps(bits, count, x.ndim), exps)
+    if scaled:
+        out *= np.ldexp(_slice_steps(bits, count, x.ndim), exps)
     return out
 
 
@@ -282,14 +287,15 @@ def _slice_steps(bits: int, count: int, ndim: int) -> np.ndarray:
 
 
 def slice_matmul(a_parts: np.ndarray, w_parts: np.ndarray, out: np.ndarray | None = None,
-                 work: np.ndarray | None = None) -> np.ndarray:
+                 work: np.ndarray | None = None, blocked: bool = False) -> np.ndarray:
     """(..., N, M): activation slices (A_SLICES, ..., N, K) times weight
     slices (..., K, M * W_SLICES), column i * W_SLICES + s holding slice s
-    of row i. One BLAS matmul, over every slice and column when the weight
-    is 2-D, gives the six slice products, exact when ``slice_bits`` set
-    the widths. They go to ``work`` (contiguous) when given, and are
-    summed over weight slices, then over activation slices, most
-    significant first, into ``out`` when given."""
+    of row i, or column s * M + i when ``blocked``. One BLAS matmul, over
+    every slice and column when the weight is 2-D, gives the six slice
+    products, exact when ``slice_bits`` set the widths. They go to
+    ``work`` (contiguous) when given, and are summed over weight slices,
+    then over activation slices, most significant first, into ``out``
+    when given."""
     shape = a_parts.shape[:-1] + w_parts.shape[-1:]
     prod = np.empty(shape) if work is None else work.reshape(shape)
     if w_parts.ndim == 2:
@@ -297,7 +303,10 @@ def slice_matmul(a_parts: np.ndarray, w_parts: np.ndarray, out: np.ndarray | Non
                   out=prod.reshape(-1, shape[-1]))
     else:
         np.matmul(a_parts, w_parts, out=prod)
-    by_a = np.add(prod[..., 0::2], prod[..., 1::2], out=prod[..., 0::2])
+    m = shape[-1] // W_SLICES
+    first, second = ((prod[..., :m], prod[..., m:]) if blocked
+                     else (prod[..., 0::2], prod[..., 1::2]))
+    by_a = np.add(first, second, out=first)
     out = np.add(by_a[0], by_a[1], out=out)
     out += by_a[2]
     return out
@@ -315,12 +324,13 @@ def gemm_reference(w, a: np.ndarray) -> np.ndarray:
     any BLAS thread count. Against the exact product, for operands and
     results in float64's normal range, the error is below
     K * max|w[i, :]| * max|a[:, j]| * (2^(1 - 3b) + 2^-49).
-    Raises ``CodecError`` for a non-finite operand.
+    Raises ``CodecError`` for a non-finite operand and ``GemmShapeError``
+    for an empty one.
     """
     if not isinstance(w, FloatWeight):
         w = FloatWeight(w)
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or w.shape[1] != a.shape[0]:
+    if a.ndim != 2 or w.shape[1] != a.shape[0] or 0 in w.shape + a.shape:
         raise GemmShapeError(f"cannot multiply {w.shape} by {a.shape}")
     return _slice_gemm(w, a)
 
@@ -330,8 +340,6 @@ def _slice_gemm(w: FloatWeight, a: np.ndarray) -> np.ndarray:
     fallback calls it here, so that a tracer wrapping ``gemm_reference``
     sees only the model's float weights."""
     (m, k), n = w.shape, a.shape[1]
-    if min(m, k, n) == 0:
-        return np.zeros((m, n))
     w_parts = w.slices
     bits = slice_bits(k)
     chunk = min(n, SLICE_COL_CHUNK)
@@ -360,7 +368,8 @@ def quantize_activations(a: np.ndarray) -> QuantizedActivationPanel:
     the quantizer free of masks. Each value becomes q * 2^s, the multiple
     of 2^s nearest to it, ties to even, with q clamped to [-127, 127]; a
     zero is +0.0. Where 2^s is below float64's smallest step, 2^-1074,
-    that leaves a value as it is. ``CodecError`` for a non-finite value.
+    that leaves a value as it is. ``CodecError`` for a non-finite value,
+    ``GemmShapeError`` for an empty panel.
 
     The panel's operand holds q * 2^s row by row of columns. Its window
     facts come from the |values| and block maxima the quantizer takes
@@ -368,14 +377,11 @@ def quantize_activations(a: np.ndarray) -> QuantizedActivationPanel:
     (see the module docstring).
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] % BLOCK_SIZE:
-        raise GemmShapeError(f"activation shape {a.shape} not K-blockable")
+    if a.ndim != 2 or a.shape[0] % BLOCK_SIZE or not a.size:
+        raise GemmShapeError(f"activation shape {a.shape} empty or not K-blockable")
     k, n = a.shape
     # Columns as rows, so that each block is a contiguous run of 32 values.
     flat = np.ascontiguousarray(a.T).reshape(-1)
-    if not flat.size:
-        return QuantizedActivationPanel(np.zeros((n, k), np.float32), -NO_BLOCK,
-                                        NO_BLOCK, -NO_BLOCK)
     mags = np.abs(flat)
     absmax = np.maximum.reduceat(mags, _starts(flat.size, BLOCK_SIZE))
     # max|block| = m * 2^e with m in [0.5, 1), or m = e = 0; s = e - 7.
@@ -443,11 +449,9 @@ def gemm_mxfp4_latescale_f32(w: MxfpTensor, a: np.ndarray) -> np.ndarray:
     their block scales apart, so each scale applies once per partial.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise GemmShapeError(f"activations must be 2-D, got {a.shape}")
+    if a.ndim != 2 or not a.size:
+        raise GemmShapeError(f"activations must be 2-D and non-empty, got {a.shape}")
     _check_weight_act(w, a.shape[0])
-    if a.shape[1] == 0:
-        return np.zeros((w.rows, 0))
     wb = fp4_decode(w.codes).reshape(w.rows, -1, BLOCK_SIZE)
     scales = scale_values(w.scale_exp)
     a_blocks = a.reshape(-1, BLOCK_SIZE, a.shape[1])

@@ -13,6 +13,16 @@ position's own data (layer norm). So processing a batch of new positions
 equals processing them one at a time, token for token and bit for bit,
 at any BLAS thread count.
 
+Attention has two precisions, chosen by the model's kind as the GEMM
+kernel is. A float model, a target, attends with six exact slice
+products per reduction. An MXFP4 model is a draft, whose proposals the
+target verifies, so it needs determinism, not exactness: one slice per
+operand, one exact product per reduction. Its context is within about
+V * L * 2^(2 - c) of exact attention's, for V the largest |value| of its
+L keys and c = ``qgemm.slice_bits(max_seq_len)``: L * 2^-16 * V at
+max_seq_len 512. ``_attention`` states both bounds. Both precisions
+write the same cache bytes.
+
 A layer's tensors are named once, in ``LAYER_NORMS`` and ``LAYER_LINEARS``
 with ``linear_shapes``; the init, the cast, the checksum and the model file
 all follow them.
@@ -203,13 +213,15 @@ class KvCache:
 
     Each (position, head) row of a key or value is held as the two
     ``qgemm.row_slices`` that ``_attention`` multiplies exactly, cut once,
-    when ``forward`` writes the position. keys (n_layers, n_heads,
-    max_seq_len, W_SLICES, d_head) holds slices of the key, values
-    (n_layers, n_heads, max_seq_len, d_head, W_SLICES) slices of the value
-    over its ``value_scales`` (n_layers, n_heads, max_seq_len) entry, the
-    power of two just above its largest magnitude. Either way a head's
-    slices are a ``qgemm.slice_matmul`` weight, one column per slice of an
-    element. tokens has shape (max_seq_len,).
+    when ``forward`` writes the position. keys and values, both (n_layers,
+    n_heads, max_seq_len, W_SLICES, d_head), hold slices of the key and of
+    the value over its ``value_scales`` (n_layers, n_heads, max_seq_len)
+    entry, the power of two just above its largest magnitude. A float
+    model's exact attention reads both slices, as a ``qgemm.slice_matmul``
+    weight; an MXFP4 model's draft-grade attention reads slice 0 alone, a
+    strided view BLAS takes as it is. Both write both slices, so a target
+    that shares a draft's cache reads what it would have written itself.
+    tokens has shape (max_seq_len,).
     """
 
     keys: np.ndarray
@@ -223,7 +235,7 @@ class KvCache:
         lead = (config.n_layers, config.n_heads, config.max_seq_len)
         d_head = config.d_model // config.n_heads
         return cls(np.zeros(lead + (qgemm.W_SLICES, d_head)),
-                   np.zeros(lead + (d_head, qgemm.W_SLICES)), np.ones(lead),
+                   np.zeros(lead + (qgemm.W_SLICES, d_head)), np.ones(lead),
                    np.zeros(config.max_seq_len, dtype=np.int64))
 
 
@@ -298,7 +310,7 @@ def _gelu(x):
 ATTN_BLOCK = 1 << 17
 
 
-def _attention(q, k, v, cache: KvCache, li: int, start: int):
+def _attention(q, k, v, cache: KvCache, li: int, start: int, exact: bool = True):
     """Causal attention of the last ``len(q)`` of the new positions
     ``start + i``: writes every new position's key and value to layer
     ``li`` of the cache, then attends over the cache for the query rows.
@@ -309,49 +321,66 @@ def _attention(q, k, v, cache: KvCache, li: int, start: int):
     their keys and values, so it passes no queries for them, and no query
     block runs for them. Every (position, head) row of q / sqrt(d_head),
     k and v gets its own power-of-two exponent, and both reductions are
-    exact slice products on BLAS, the ones ``qgemm.gemm_reference`` makes
-    (``qgemm.row_slices`` and ``qgemm.slice_matmul``):
+    exact slice products on BLAS (``qgemm.row_slices``), at one of two
+    precisions:
 
-    * Scores: a key row is stored as two 26-bit slices, a query row is
-      cut into A_SLICES slices of b = ``slice_bits(d_head)`` bits. Each
-      slice dot product is exact in any order; the six are summed in a
-      fixed order.
-    * Softmax: p = exp(s - max s), +0.0 for a key past the position. Its
-      normaliser is the exact sum of p on a grid of 2^-g, g =
-      ``slice_bits(max_seq_len, 0)``, taken in two slices.
-    * Context: a value row is stored as two 26-bit slices of the row over
-      its power of two 2^e (``value_scales``), and 2^e is folded into p
-      exactly. Each query row of p is cut into A_SLICES slices of c =
-      ``slice_bits(max_seq_len)`` bits, so a dot product over up to
-      max_seq_len keys is exact again. A zero result is +0.0.
+    * ``exact`` (a float target's): the products ``qgemm.gemm_reference``
+      makes (``qgemm.slice_matmul``).
+      - Scores: a key row is stored as two 26-bit slices, a query row is
+        cut into A_SLICES slices of b = ``slice_bits(d_head)`` bits. Each
+        slice dot product is exact in any order; the six are summed in a
+        fixed order.
+      - Softmax: p = exp(s - max s), +0.0 for a key past the position.
+        Its normaliser is the exact sum of p on a grid of 2^-2g, g =
+        ``slice_bits(max_seq_len, 0)``, taken in two slices.
+      - Context: a value row is stored as two 26-bit slices of the row
+        over its power of two 2^e (``value_scales``), and 2^e is folded
+        into p exactly. Each query row of p is cut into A_SLICES slices of
+        c = ``slice_bits(max_seq_len)`` bits, so a dot product over up to
+        max_seq_len keys is exact again.
+    * draft-grade (an MXFP4 draft's, whose tokens the target verifies):
+      one slice per operand, each product one plain BLAS matmul. Scores:
+      one query slice of b bits against key slice 0. Normaliser: one
+      slice of p on the grid of 2^-g. Context: one slice of p of c bits
+      against value slice 0.
 
-    Every rounded step is elementwise on one position's row over the
-    keys it sees: a masked key adds exact zeros to exact sums and moves
-    no exponent, and the widths depend on d_head and max_seq_len, never
-    on the number of keys. So a position's bits depend neither on the
-    positions computed with it, nor on whether earlier new positions had
-    queries, nor on how the causal blocks of ``ATTN_BLOCK`` product
-    elements, each reducing over the keys up to its last position, fall.
-    A key or value row's slices depend on that row alone, so the cache
-    gets the same bits whatever m is.
+    The normaliser's slices are summed over the keys as integers, then
+    scaled. A zero result is +0.0. Every rounded step is elementwise on
+    one position's row over the keys it sees: a masked key adds exact
+    zeros to exact sums and moves no exponent, and the widths depend on
+    d_head and max_seq_len, never on the number of keys. So a position's
+    bits depend neither on the positions computed with it, nor on whether
+    earlier new positions had queries, nor on how the causal blocks of
+    ``ATTN_BLOCK`` product elements, each reducing over the keys up to its
+    last position, fall. A key or value row's slices depend on that row
+    alone, so the cache gets the same bits whatever m is, at either
+    precision.
 
     For operands and results in float64's normal range, let L be the
-    keys position i sees, K and V the largest |k| and |v| over them, and
-    delta = sqrt(d_head) * max|q_i| * K * (2^(1 - 3b) + 2^-48) the bound
-    on a score's error. Against exact attention, position i's error is
-    below V * (2.01 * delta + L * (2^(2 - 3c) + 2^-49)). Raises
-    ``CodecError`` for a non-finite q, k or v, before writing the cache.
+    keys position i sees, K and V the largest |k| and |v| over them (V at
+    least 1/2 if one of their value rows is all zero, which is stored
+    over a scale of 1), and delta = sqrt(d_head) * max|q_i| * K * eps_s
+    the bound on a score's error. Against exact attention, position i's
+    error is below V * (2.01 * delta + L * eps_p + eps_v), with eps_s =
+    2^(1 - 3b) + 2^-48, eps_p = 2^(2 - 3c) + 2^-49 and eps_v = 0 when
+    ``exact``, and eps_s = 2^(1 - b) + 2^-24, eps_p = 2^(2 - c) + 2^-g and
+    eps_v = 2^-24 draft-grade. At max_seq_len 512, c = 18: the draft's
+    context is within about L * 2^-16 * V, 2^-7 * V at the last position.
+    Raises ``CodecError`` for a non-finite q, k or v, before writing the
+    cache.
     """
     n, heads, d_head = k.shape
     m = q.shape[0]
-    a_n, w_n = qgemm.A_SLICES, qgemm.W_SLICES
+    w_n = qgemm.W_SLICES
+    # Query or p slices against key or value slices, and the normaliser's.
+    a_n, b_n, z_n = (qgemm.A_SLICES, w_n, 2) if exact else (1, 1, 1)
     qh, nh, end = m * heads, n * heads, start + n
     qd, kvd = qh * d_head, 2 * nh * d_head
-    step = max(1, ATTN_BLOCK // (a_n * w_n * heads * end))
+    step = max(1, ATTN_BLOCK // (a_n * b_n * heads * end))
     rows_max = min(m, step)
     q_size = a_n * rows_max * heads * d_head
     # A block's score products, or p's slices and the context products.
-    prod_size = a_n * heads * rows_max * (end + max(end, w_n * d_head))
+    prod_size = a_n * heads * rows_max * (end + max(end, b_n * d_head))
     # One buffer holds every large temporary of the call, so a long prefill
     # allocates once, not per block. The rows of q / sqrt(d_head), k and v
     # lead it, and |rows| follows them. The rows of k and v become their
@@ -377,14 +406,17 @@ def _attention(q, k, v, cache: KvCache, li: int, start: int):
         out=work[qd:qd + w_n * kvd].reshape(w_n, 2 * nh, d_head)[::-1])
     kv = kv.reshape(w_n, 2, n, heads, d_head)
     cache.keys[li, :, start:end] = kv[:, 0].transpose(2, 1, 0, 3)
-    cache.values[li, :, start:end] = kv[:, 1].transpose(2, 1, 3, 0)
+    cache.values[li, :, start:end] = kv[:, 1].transpose(2, 1, 0, 3)
     rows, exps = rows[:qh].reshape(m, heads, d_head), exps[:qh].reshape(m, heads, 1)
 
     n_seq = cache.keys.shape[2]
     q_bits, p_bits, z_bits = (qgemm.slice_bits(d_head), qgemm.slice_bits(n_seq),
                               qgemm.slice_bits(n_seq, 0))
-    keys = cache.keys[li].reshape(heads, -1, d_head).transpose(0, 2, 1)
-    values = cache.values[li].reshape(heads, n_seq, -1)
+    # The first b_n slices of every key and value: column j * b_n + s of a
+    # head's keys holds slice s of key j, column s * d_head + i of its
+    # values slice s of element i. Both are views.
+    keys = cache.keys[li, :, :, :b_n].reshape(heads, -1, d_head).transpose(0, 2, 1)
+    values = cache.values[li, :, :, :b_n].reshape(heads, n_seq, -1)
     work = work[qd:]
     ctx = np.empty((m, heads, d_head))
     for lo in range(0, m, step):
@@ -399,25 +431,38 @@ def _attention(q, k, v, cache: KvCache, li: int, start: int):
         prod = work[q_size:q_size + prod_size]
         scores = work[q_size + prod_size:q_size + prod_size + size].reshape(
             heads, rows_b, n_keys)
-        qgemm.slice_matmul(q_parts.transpose(0, 2, 1, 3), keys[..., :w_n * n_keys],
-                           out=scores, work=prod[:w_n * a_n * size])
+        block_keys = keys[..., :b_n * n_keys]
+        if exact:
+            qgemm.slice_matmul(q_parts.transpose(0, 2, 1, 3), block_keys, out=scores,
+                               work=prod[:w_n * a_n * size])
+        else:
+            np.matmul(q_parts[0].transpose(1, 0, 2), block_keys, out=scores)
         if rows_b > 1:  # the block's own last keys lie past its first positions
             future = np.arange(rows_b) > np.arange(rows_b)[:, None]
             np.copyto(scores[..., -rows_b:], -np.inf, where=future)
         scores -= scores.max(axis=-1, keepdims=True)
         p = np.exp(scores, out=scores)  # (heads, rows, keys)
-        # The normaliser: two exact sums of p's slices on the grid of 2^-z_bits.
-        z = qgemm.row_slices(p, z_bits, 2, exps=0, out=prod[:2 * size].reshape(
-            2, heads, rows_b, n_keys)).sum(axis=-1, keepdims=True)
-        z = z[0] + z[1]
+        # The normaliser: p's integer slices on the grid of 2^-z_bits,
+        # summed exactly over the keys, then each sum scaled.
+        z_sums = qgemm.row_slices(p, z_bits, z_n, exps=0, scaled=False, out=prod[
+            :z_n * size].reshape(z_n, heads, rows_b, n_keys)).sum(axis=-1, keepdims=True)
+        z = np.ldexp(z_sums[0], -z_bits)
+        if exact:
+            z += np.ldexp(z_sums[1], -2 * z_bits)
         p *= cache.value_scales[li, :, None, :n_keys]
         # p is finite and never negative.
+        p_exps = np.frexp(p.max(axis=-1, keepdims=True))[1]
         p_parts = qgemm.row_slices(
-            p, p_bits, a_n, exps=np.frexp(p.max(axis=-1, keepdims=True))[1],
+            p, p_bits, a_n, exps=p_exps, scaled=exact,
             out=prod[:a_n * size].reshape(a_n, heads, rows_b, n_keys))
         out = ctx[lo:hi].transpose(1, 0, 2)
-        qgemm.slice_matmul(p_parts, values[:, :n_keys], out=out,
-                           work=prod[a_n * size:a_n * (size + heads * rows_b * w_n * d_head)])
+        if exact:
+            qgemm.slice_matmul(
+                p_parts, values[:, :n_keys], out=out, blocked=True,
+                work=prod[a_n * size:a_n * (size + heads * rows_b * w_n * d_head)])
+        else:  # the one slice of p is an integer: scale its product instead
+            np.matmul(p_parts[0], values[:, :n_keys], out=out)
+            np.ldexp(out, p_exps - p_bits, out=out)
         # Adding +0.0 makes a zero +0.0 whichever sign BLAS gave it.
         out /= z
         out += 0.0
@@ -479,7 +524,7 @@ def forward(model: TinyLmModel, cache: KvCache, new_tokens, *,
         k, v = (lw.apply(h, operands).reshape(n, cfg.n_heads, d_head)
                 for lw in (layer.wk, layer.wv))
         q = layer.wq.apply(h, operands, last=rows).reshape(rows, cfg.n_heads, d_head)
-        ctx = _attention(q, k, v, cache, li, start)
+        ctx = _attention(q, k, v, cache, li, start, exact=not model.is_quantized)
         x = x[n - rows:] + layer.wo.apply(ctx.reshape(rows, cfg.d_model))
 
         h = _layer_norm(x, layer.ln2_g, layer.ln2_b, cfg.norm_epsilon)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -133,23 +134,20 @@ class TestReference:
             gemm_reference(np.ones((4, 8)), a)
 
     def test_empty_operands(self):
-        assert gemm_reference(np.ones((0, 32)), np.ones((32, 3))).shape == (0, 3)
-        assert gemm_reference(np.ones((4, 32)), np.ones((32, 0))).shape == (4, 0)
-        assert np.array_equal(
-            gemm_reference(np.ones((3, 0)), np.ones((0, 5))), np.zeros((3, 5))
-        )
+        # No model or bench shape is empty, so an empty operand is a
+        # caller's error on every path.
+        for w, a in (((0, 32), (32, 3)), ((4, 32), (32, 0)), ((3, 0), (0, 5))):
+            with pytest.raises(GemmShapeError):
+                gemm_reference(np.ones(w), np.ones(a))
 
     def test_zero_activation_columns_on_every_path(self):
         w = quantize_direct_cast(
             np.random.default_rng(4).standard_normal((5, 2 * BLOCK_SIZE)))
         a = np.zeros((2 * BLOCK_SIZE, 0))
-        panel = quantize_activations(a)
-        assert panel.operand.shape == (0, 2 * BLOCK_SIZE)
-        assert (panel.l1_bits, panel.lo, panel.hi) == (-NO_BLOCK, NO_BLOCK, -NO_BLOCK)
-        assert dequantize_activations(panel).shape == (2 * BLOCK_SIZE, 0)
-        for got in (gemm_mxfp4_int8(w, panel), gemm_mxfp4_latescale_f32(w, a),
-                    gemm_reference(dequantize(w), a)):
-            assert got.shape == (5, 0)
+        for path in (quantize_activations, partial(gemm_mxfp4_latescale_f32, w),
+                     partial(gemm_reference, dequantize(w))):
+            with pytest.raises(GemmShapeError):
+                path(a)
 
 
 class TestSliceMatmul:
@@ -209,6 +207,25 @@ class TestFoldSum:
         view[1:8, 4:37] = base
         assert np.array_equal(fold_sum(base, axis=1),
                               fold_sum(view[1:8, 4:37], axis=1))
+
+    def test_same_tree_on_any_axis(self):
+        # Neighbours added pairwise per level, an odd level's last element
+        # moved up as it is: the order every caller's bits depend on.
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 5, 32, 100, 128):
+            x = rng.standard_normal((3, n, 2))
+            want = []
+            for row in x[:, :, 1].tolist():
+                while len(row) > 1:
+                    row = ([a + b for a, b in zip(row[0::2], row[1::2])]
+                           + row[len(row) // 2 * 2:])
+                want.append(row[0])
+            assert fold_sum(x[:, :, 1]).tolist() == want
+            assert fold_sum(x, axis=1)[:, 1].tolist() == want
+
+    def test_zero_length_axis_rejected(self):
+        with pytest.raises(ValueError):
+            fold_sum(np.ones((3, 0)))
 
 
 def quantize_activations_oracle(a):

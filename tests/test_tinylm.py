@@ -274,36 +274,42 @@ def loop_attention(q, keys, vals, start):
     return ctx
 
 
-def attention_bound(q, keys, vals, start, max_seq_len):
+def attention_bound(q, keys, vals, start, max_seq_len, exact=True):
     """``_attention``'s stated error bound per position, shape (n, 1, 1)."""
     n, _, d_head = q.shape
     b = 53 - qgemm.W_SLICE_BITS - (d_head - 1).bit_length()
     c = 53 - qgemm.W_SLICE_BITS - (max_seq_len - 1).bit_length()
+    g = 53 - (max_seq_len - 1).bit_length()
+    eps_s, eps_p, eps_v = (
+        (2.0 ** (1 - 3 * b) + 2.0 ** -48, 2.0 ** (2 - 3 * c) + 2.0 ** -49, 0.0) if exact
+        else (2.0 ** (1 - b) + 2.0 ** -24, 2.0 ** (2 - c) + 2.0 ** -g, 2.0 ** -24))
     seen = start + np.arange(1, n + 1)
     k_max = np.maximum.accumulate(np.abs(keys).max(axis=(1, 2)))[seen - 1]
-    v_max = np.maximum.accumulate(np.abs(vals).max(axis=(1, 2)))[seen - 1]
-    delta = (np.sqrt(d_head) * np.abs(q).max(axis=(1, 2)) * k_max
-             * (2.0 ** (1 - 3 * b) + 2.0 ** -48))
-    bound = v_max * (2.01 * delta + seen * (2.0 ** (2 - 3 * c) + 2.0 ** -49))
+    # An all-zero value row is stored over a scale of 1, as if it held 1/2.
+    v_rows = np.abs(vals).max(axis=2)
+    v_max = np.maximum.accumulate(np.where(v_rows == 0, 0.5, v_rows).max(axis=1))[seen - 1]
+    delta = np.sqrt(d_head) * np.abs(q).max(axis=(1, 2)) * k_max * eps_s
+    bound = v_max * (2.01 * delta + seen * eps_p + eps_v)
     return bound[:, None, None]
 
 
-def run_attention(q, keys, vals, start, max_seq_len=96, steps=None):
-    """``_attention`` of positions start.. on a fresh one-layer cache that
-    first takes ``start`` positions; ``steps`` splits the new positions
-    into calls of those sizes (one call by default)."""
+def run_attention(q, keys, vals, start, max_seq_len=96, steps=None, exact=True,
+                  cache=None):
+    """``_attention`` of positions start.. on a fresh one-layer cache (or
+    ``cache``) that first takes ``start`` positions; ``steps`` splits the
+    new positions into calls of those sizes (one call by default)."""
     n, heads, d_head = q.shape
     cfg = LmConfig(d_model=heads * d_head, n_layers=1, n_heads=heads,
                    max_seq_len=max_seq_len)
-    cache = KvCache.empty(cfg)
+    cache = KvCache.empty(cfg) if cache is None else cache
     if start:
         _attention(np.zeros((start, heads, d_head)), keys[:start], vals[:start],
-                   cache, 0, 0)
+                   cache, 0, 0, exact)
     out, pos = [], 0
     for size in steps or [n]:
         lo, hi = start + pos, start + pos + size
         out.append(_attention(q[pos:pos + size], keys[lo:hi], vals[lo:hi],
-                              cache, 0, lo))
+                              cache, 0, lo, exact))
         pos += size
     return np.concatenate(out)
 
@@ -383,6 +389,59 @@ class TestAttention:
         assert not cache.keys.any() and not cache.values.any()
 
 
+class TestDraftAttention:
+    """An MXFP4 model's attention: one slice per operand."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+    def test_bound_at_max_seq_len(self, scale):
+        rng = np.random.default_rng(16)
+        q = rng.standard_normal((40, 4, 16)) * scale
+        keys = rng.standard_normal((512, 4, 16))
+        vals = rng.standard_normal((512, 4, 16)) * rng.uniform(0.01, 10, (512, 1, 1))
+        got = run_attention(q, keys, vals, 472, max_seq_len=512, exact=False)
+        err = np.abs(got - loop_attention(q, keys, vals, 472))
+        assert np.all(err <= attention_bound(q, keys, vals, 472, 512, exact=False))
+        # And it is draft-grade: its bits are not the exact path's.
+        exact = run_attention(q, keys, vals, 472, max_seq_len=512)
+        assert got.tobytes() != exact.tobytes()
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_zero_value_row(self, exact):
+        # Its scale of 1 sets p's slice grid, so the bound takes V >= 1/2.
+        rng = np.random.default_rng(24)
+        q, keys = (rng.standard_normal((8, 2, 8)) * 3 for _ in range(2))
+        vals = rng.standard_normal((8, 2, 8)) * 1e-4
+        vals[0, 1] = 0.0
+        got = run_attention(q, keys, vals, 0, exact=exact)
+        err = np.abs(got - loop_attention(q, keys, vals, 0))
+        assert np.all(err <= attention_bound(q, keys, vals, 0, 96, exact))
+
+    def test_block_boundaries(self):
+        # A draft's blocks hold more positions than the exact path's; 200
+        # cached + 300 new keys still span several.
+        heads, d_head, n_keys = 4, 16, 500
+        assert tinylm.ATTN_BLOCK // (heads * n_keys) < 300 // 3
+        rng = np.random.default_rng(15)
+        q = rng.standard_normal((300, heads, d_head))
+        keys = rng.standard_normal((n_keys, heads, d_head))
+        vals = rng.standard_normal((n_keys, heads, d_head))
+        whole = run_attention(q, keys, vals, 200, n_keys, exact=False)
+        for steps in ([1] * 300, [7, 131, 162]):
+            got = run_attention(q, keys, vals, 200, n_keys, steps, exact=False)
+            assert got.tobytes() == whole.tobytes()
+
+    def test_writes_the_exact_paths_cache(self):
+        # A target reading a cache a draft wrote sees what it would have
+        # written itself.
+        rng = np.random.default_rng(23)
+        q = rng.standard_normal((50, 4, 16))
+        keys, vals = (rng.standard_normal((70, 4, 16)) for _ in range(2))
+        caches = [KvCache.empty(CFG) for _ in range(2)]
+        for exact, cache in zip((True, False), caches):
+            run_attention(q, keys, vals, 20, steps=[1, 40, 9], exact=exact, cache=cache)
+        assert cache_bytes(caches[0]) == cache_bytes(caches[1])
+
+
 LONG = LmConfig(d_model=64, n_layers=2, n_heads=4, d_ff=128, max_seq_len=512)
 
 
@@ -418,6 +477,15 @@ class TestLongContext:
         batch = forward(long_model, cache, tokens[start:start + n])
         assert batch.tobytes() == incremental[start:start + n].tobytes()
 
+    @pytest.mark.parametrize("start,n,m", [(0, 512, 2), (333, 179, 1)])
+    def test_last_rows_equal_incremental(self, long_model, tokens, incremental,
+                                         start, n, m):
+        cache = KvCache.empty(LONG)
+        if start:
+            forward(long_model, cache, tokens[:start])
+        got = forward(long_model, cache, tokens[start:start + n], n_logits=m)
+        assert got.tobytes() == incremental[start + n - m:start + n].tobytes()
+
     def test_rollback_mid_block_then_refeed(self, long_model, tokens):
         other = [int(t) for t in np.random.default_rng(19).integers(0, 256, 200)]
         cache = KvCache.empty(LONG)
@@ -428,8 +496,22 @@ class TestLongContext:
         assert got.tobytes() == fresh[157:].tobytes()
 
 
-# Prompts of up to 153 positions at max_seq_len=160 span several attention
-# query blocks in both shapes.
+class TestDraftLongContext(TestLongContext):
+    """The same for the model's MXFP4 cast, whose attention is draft-grade
+    and whose blocks hold more positions."""
+
+    @pytest.fixture(scope="class")
+    def long_model(self):
+        return direct_cast_mxfp4(init_seeded(LONG, 3))
+
+    def test_grid_crosses_blocks(self):
+        rows = tinylm.ATTN_BLOCK // (LONG.n_heads * LONG.max_seq_len)
+        assert 1 < rows < 179 // 2
+
+
+# Prompts of up to 153 positions at max_seq_len=160 span several exact
+# attention query blocks in both shapes; a draft's larger blocks are crossed
+# in TestDraftLongContext.
 ROWS_CONFIGS = {
     "2-layer": LmConfig(d_model=64, n_layers=2, n_heads=4, d_ff=128,
                         max_seq_len=160),
